@@ -34,7 +34,7 @@ from .training import (
     TrainConfig,
     TrainingDivergedError,
     diagonal_mass,
-    evaluate,
+    evaluate,  # noqa: F401 -- perfbench/child.py traces experiments.evaluate
     predict_logits,
     train,
     train_mil_instances,
@@ -246,8 +246,8 @@ def atomic_write_text(path, text: str) -> None:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # repr of np.float64 is "np.float64(...)" under numpy 2
     return str(value)
 
 
@@ -400,15 +400,12 @@ def run_noise_recovery(cfg: dict) -> dict:
         for method in ("ce", "dual_margin"):
             if method == "ce":
                 tc = _train_config(cfg, seed, "cross_entropy")
-                model, report = train(noisy_ds, None, tc, test_data=test_ds)
             else:
                 tc = _train_config(cfg, seed, "dual_margin", LossParams(alpha, beta))
-                model, report = train(noisy_ds, q, tc, test_data=test_ds)
-            scored = evaluate(model, test_ds, q=q)
-            scored.train_curve = report.train_curve
+            _, scored = train(noisy_ds, q, tc, test_data=test_ds)
             print(
                 f"[noise_recovery] seed={seed} method={method} "
-                f"acc={scored.clean_test_accuracy:.4f} wall={report.wall_time:.2f}s"
+                f"acc={scored.clean_test_accuracy:.4f} wall={scored.wall_time:.2f}s"
             )
             runs[method][str(seed)] = _report_payload(scored)
             rows.append(
@@ -469,13 +466,17 @@ def run_sweep(cfg: dict) -> dict:
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
             accs = []
+            try:
+                params = LossParams(alpha, beta)
+            except ValueError as exc:  # the degenerate alpha = beta = 0 cell
+                failures.extend({"alpha": alpha, "beta": beta, "seed": seed, "error": str(exc)} for seed in seeds)
+                continue
             for seed in seeds:
                 noisy_ds, test_ds = splits[seed]
+                tc = _train_config(cfg, seed, "dual_margin", params)
                 try:
-                    params = LossParams(alpha, beta)
-                    tc = _train_config(cfg, seed, "dual_margin", params)
                     _, report = train(noisy_ds, q, tc, test_data=test_ds)
-                except (TrainingDivergedError, ValueError) as exc:
+                except TrainingDivergedError as exc:
                     failures.append({"alpha": alpha, "beta": beta, "seed": seed, "error": str(exc)})
                     continue
                 accs.append(report.clean_test_accuracy)

@@ -14,16 +14,27 @@ the exact target a tie-breaker.
 
 The probability form divides by ``p_t`` and ``p_S`` and is unusable at
 extreme logits, so it is kept only as a reference oracle
-(:func:`loss_from_probs`).  The production path (:func:`loss_from_logits`)
-rewrites the loss as a pool of three terms,
+(:func:`loss_from_probs`).  The production path rewrites the loss as a pool
+of three terms,
 
     loss = LSE{ 0, log(alpha) + lse(z, C-{t}) - z_t,
                    log(beta)  + lse(z, N) - lse(z, S) }
 
-built from masked log-sum-exp scores.  Every intermediate is a difference
-of LSE values, so nothing overflows for any finite logit magnitude, and
-the analytic gradient (:func:`grad_from_logits`) is computed from the same
-quantities with all exponents <= 0.
+and evaluates it in a single pass over the logits.  Each row splits into
+three disjoint cells, ``{t}``, ``P = S - {t}`` and ``N``.  Every entry of P
+and N is shifted by the max of its own cell, so one ``exp`` over the whole
+(B, C) batch yields both cell sums, with no overflow for any finite logit
+and full relative accuracy within each cell.  The pooled scores follow
+from the two cell log-sum-exps,
+
+    lse(z, C-{t}) = logaddexp(lse P, lse N),   lse(z, S) = logaddexp(z_t, lse P),
+
+and the pool itself is ``m + log1p(expm1(-m) + e^(a-m) + e^(b-m))`` with
+``m = max(0, a, b)``, which is ``log1p(e^a + e^b)`` when ``m = 0`` and so
+keeps full relative accuracy for losses far below machine epsilon.  The
+analytic gradient (:func:`grad_from_logits`) reuses the same exponential
+array, scaled by one coefficient per row and cell; each coefficient is the
+exp of a quantity that is <= 0 by construction.
 
 Conventions for empty/disabled terms: a zero weight or an empty index set
 makes the corresponding pooled term -inf, i.e. it simply drops out of the
@@ -214,106 +225,84 @@ def _log_or_neg_inf(w: float) -> float:
     return math.log(w) if w > 0.0 else float("-inf")
 
 
-def _rows_masked_lse(Z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise masked LSE for a (B, C) batch; -inf rows where mask is empty."""
-    masked = np.where(mask, Z, -np.inf)
-    m = masked.max(axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(np.where(mask, Z - safe[:, None], -np.inf))
-    s = e.sum(axis=1)
-    out = np.where(s > 0.0, safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-    return out
+def _cell_lse(cell_max: np.ndarray, cell_sum: np.ndarray) -> np.ndarray:
+    """Cell log-sum-exp from its max and shifted sum; -inf for an empty cell."""
+    return cell_max + np.log(cell_sum, out=np.full_like(cell_sum, -np.inf), where=cell_sum > 0.0)
 
 
-def _pool(term_a: np.ndarray, term_b: np.ndarray) -> np.ndarray:
-    """Elementwise LSE{0, term_a, term_b} with full relative accuracy.
+def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: float, beta: float, want_grad: bool):
+    """Per-sample losses, the (B, C) gradient (None unless ``want_grad``) and
+    the pooled terms as arrays keyed by :class:`LossBreakdown` field.
 
-    When both terms are <= 0 the result is log1p(exp(a) + exp(b)), which
-    stays accurate for losses far below machine epsilon; otherwise the
-    usual max-subtraction applies.
+    The three-cell, single-exp form is described in the module docstring.
     """
+    rows = np.arange(Z.shape[0])
+    log_alpha = _log_or_neg_inf(alpha)
+    log_beta = _log_or_neg_inf(beta)
+    z_t = Z[rows, targets]
+
+    in_p = np.where(set_masks, Z, -np.inf)
+    in_p[rows, targets] = -np.inf
+    max_p = in_p.max(axis=1)
+    max_n = np.where(set_masks, -np.inf, Z).max(axis=1)
+    e = np.where(set_masks, max_p[:, None], max_n[:, None])  # each entry's cell max
+    np.subtract(Z, e, out=e)
+    e[rows, targets] = -np.inf
+    np.exp(e, out=e)
+    # each cell sum is a row dot product with the cell's 0/1 mask; e is 0 at
+    # the target, so S's mask sums P, and 1 - mask is N's
+    mask = set_masks.astype(np.float64)
+    lse_p = _cell_lse(max_p, np.einsum("ij,ij->i", e, mask))
+    lse_n = _cell_lse(max_n, np.einsum("ij,ij->i", e, np.subtract(1.0, mask, out=mask)))
+
+    lse_s = np.logaddexp(z_t, lse_p)
+    lse_nt = np.logaddexp(lse_p, lse_n)
+    term_a = log_alpha + lse_nt - z_t
+    term_b = log_beta + lse_n - lse_s
+    # LSE{0, a, b}: at m = 0 this is log1p(e^a + e^b), accurate far below eps
     m = np.maximum(0.0, np.maximum(term_a, term_b))
-    out = np.empty_like(m)
-    small = m == 0.0
-    out[small] = np.log1p(np.exp(term_a[small]) + np.exp(term_b[small]))
-    big = ~small
-    out[big] = m[big] + np.log(
-        np.exp(-m[big]) + np.exp(term_a[big] - m[big]) + np.exp(term_b[big] - m[big])
-    )
-    return out
+    losses = m + np.log1p(np.expm1(-m) + np.exp(term_a - m) + np.exp(term_b - m))
+    terms = {
+        "target_term": term_a,
+        "set_term": term_b,
+        "z_target": z_t,
+        "z_plausible": lse_s,
+        "z_implausible": lse_n,
+        "z_non_target": lse_nt,
+        "loss": losses,
+    }
+    if not want_grad:
+        return losses, None, terms
+
+    # With total = e^loss: d(e^a)/dz_c = alpha e^(z_c - z_t) off the target,
+    # and d(e^b)/dz_c = beta e^(z_c - lse_s) on N but -e^(b + z_c - lse_s) on
+    # S.  Both are divided by total, so every exponent below is <= 0.
+    log_a = log_alpha - z_t - losses
+    log_b = term_b - losses - lse_s
+    coef_p = np.exp(log_a + max_p) - np.exp(log_b + max_p)
+    coef_n = np.exp(log_a + max_n) + np.exp(log_beta - lse_s - losses + max_n)
+    grad = np.where(set_masks, coef_p[:, None], coef_n[:, None])
+    grad *= e
+    grad[rows, targets] = -np.exp(term_a - losses) - np.exp(log_b + z_t)
+    return losses, grad, terms
 
 
-def _eval_batch(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: float, beta: float):
-    """Vectorized forward pass. Returns per-sample losses plus intermediates."""
-    B, C = Z.shape
-    idx = np.arange(B)
-    log_alpha = _log_or_neg_inf(alpha)
-    log_beta = _log_or_neg_inf(beta)
-
-    z_t = Z[idx, targets]
-    not_t = np.ones((B, C), dtype=bool)
-    not_t[idx, targets] = False
-    z_non_target = _rows_masked_lse(Z, not_t)
-    z_plausible = _rows_masked_lse(Z, set_masks)
-    z_implausible = _rows_masked_lse(Z, ~set_masks)
-
-    term_a = log_alpha + z_non_target - z_t
-    term_b = log_beta + z_implausible - z_plausible
-    losses = _pool(term_a, term_b)
-    return losses, term_a, term_b, z_t, z_plausible, z_implausible, z_non_target
-
-
-def _grad_batch(
-    Z: np.ndarray,
-    set_masks: np.ndarray,
-    targets: np.ndarray,
-    alpha: float,
-    beta: float,
-    losses: np.ndarray,
-    term_a: np.ndarray,
-    term_b: np.ndarray,
-    z_t: np.ndarray,
-    z_plausible: np.ndarray,
-) -> np.ndarray:
-    """Per-sample gradients d loss / d z, shape (B, C).
-
-    Each additive contribution is exp() of a quantity that is <= 0 by
-    construction (every term is a fraction of the pooled total), so the
-    gradient inherits the stability of the forward pass.
-    """
-    B, C = Z.shape
-    idx = np.arange(B)
-    log_alpha = _log_or_neg_inf(alpha)
-    log_beta = _log_or_neg_inf(beta)
-
-    # alpha part: +alpha*exp(z_c - z_t)/total on c != t, -(pooled alpha term) on t.
-    arg_a = log_alpha + Z - (z_t + losses)[:, None]
-    arg_a[idx, targets] = -np.inf
-    grad = np.exp(arg_a)
-    grad[idx, targets] -= np.exp(term_a - losses)
-
-    # beta part: +beta*exp(z_n - z_S)/total on the complement, and the set
-    # members give back the pooled beta term split by their within-set softmax.
-    arg_b = np.where(set_masks, -np.inf, log_beta + Z - (z_plausible + losses)[:, None])
-    grad += np.exp(arg_b)
-    arg_s = np.where(set_masks, (term_b - losses)[:, None] + Z - z_plausible[:, None], -np.inf)
-    grad -= np.exp(arg_s)
-    return grad
-
-
-def _validate_logits(z) -> np.ndarray:
+def _row_inputs(z, pset: PlausibleSet):
+    """Validate one logit vector and lift it to the kernel's batch of one."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise ValueError("logits must be a non-empty 1-D array")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
+    if z.size != pset.class_count:
+        raise ValueError("logits and plausible set disagree on class count")
     if z.size == 1:
         warnings.warn(
             "single-class input: both margin terms vanish and the loss is 0",
             RuntimeWarning,
             stacklevel=3,
         )
-    return z
+    return z[None, :], pset.mask[None, :], np.array([pset.target])
 
 
 def loss_from_logits(z, pset: PlausibleSet, params: LossParams) -> LossBreakdown:
@@ -322,35 +311,13 @@ def loss_from_logits(z, pset: PlausibleSet, params: LossParams) -> LossBreakdown
     Agrees with :func:`loss_from_probs` on softmax(z) to ~1e-12 relative
     for moderate logits and stays finite for any finite logit magnitude.
     """
-    z = _validate_logits(z)
-    if z.size != pset.class_count:
-        raise ValueError("logits and plausible set disagree on class count")
-    Z = z[None, :]
-    masks = pset.mask[None, :]
-    targets = np.array([pset.target])
-    losses, term_a, term_b, z_t, z_s, z_n, z_nt = _eval_batch(Z, masks, targets, params.alpha, params.beta)
-    return LossBreakdown(
-        constant_term=0.0,
-        target_term=float(term_a[0]),
-        set_term=float(term_b[0]),
-        z_target=float(z_t[0]),
-        z_plausible=float(z_s[0]),
-        z_implausible=float(z_n[0]),
-        z_non_target=float(z_nt[0]),
-        loss=float(losses[0]),
-    )
+    _, _, terms = _kernel(*_row_inputs(z, pset), params.alpha, params.beta, want_grad=False)
+    return LossBreakdown(constant_term=0.0, **{name: float(v[0]) for name, v in terms.items()})
 
 
 def grad_from_logits(z, pset: PlausibleSet, params: LossParams) -> np.ndarray:
     """Analytic gradient of :func:`loss_from_logits` with respect to z."""
-    z = _validate_logits(z)
-    if z.size != pset.class_count:
-        raise ValueError("logits and plausible set disagree on class count")
-    Z = z[None, :]
-    masks = pset.mask[None, :]
-    targets = np.array([pset.target])
-    losses, term_a, term_b, z_t, z_s, _, _ = _eval_batch(Z, masks, targets, params.alpha, params.beta)
-    grad = _grad_batch(Z, masks, targets, params.alpha, params.beta, losses, term_a, term_b, z_t, z_s)
+    _, grad, _ = _kernel(*_row_inputs(z, pset), params.alpha, params.beta, want_grad=True)
     return grad[0]
 
 
@@ -360,7 +327,7 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
     Returns a (B, C) boolean matrix; row b is the plausible set for
     ``targets[b]``.
     """
-    q = np.asarray(q)
+    q = np.asarray(q, dtype=bool)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
     C = q.shape[0]
@@ -369,7 +336,7 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
         raise ValueError("targets must be 1-D")
     if targets.size and (targets.min() < 0 or targets.max() >= C):
         raise ValueError(f"targets out of range [0, {C})")
-    masks = q.astype(bool)[:, targets].T.copy()
+    masks = q.T[targets]  # fancy indexing copies only the B selected columns
     masks[np.arange(targets.size), targets] = True
     return masks
 
@@ -399,8 +366,7 @@ def batch_loss(Z, targets, q, params: LossParams):
     when ``params.reduction == "none"``.
     """
     Z, targets = _validate_batch(Z, targets)
-    masks = sets_from_q(q, targets)
-    losses, *_ = _eval_batch(Z, masks, targets, params.alpha, params.beta)
+    losses, _, _ = _kernel(Z, sets_from_q(q, targets), targets, params.alpha, params.beta, want_grad=False)
     return _reduce(losses, params.reduction)
 
 
@@ -411,11 +377,9 @@ def batch_loss_and_grad(Z, targets, q, params: LossParams):
     gradients (i.e. the Jacobian diagonal blocks stacked as (B, C)).
     """
     Z, targets = _validate_batch(Z, targets)
-    masks = sets_from_q(q, targets)
-    losses, term_a, term_b, z_t, z_s, _, _ = _eval_batch(Z, masks, targets, params.alpha, params.beta)
-    grads = _grad_batch(Z, masks, targets, params.alpha, params.beta, losses, term_a, term_b, z_t, z_s)
+    losses, grads, _ = _kernel(Z, sets_from_q(q, targets), targets, params.alpha, params.beta, want_grad=True)
     if params.reduction == "mean":
-        grads = grads / Z.shape[0]
+        grads /= Z.shape[0]
     return _reduce(losses, params.reduction), grads
 
 

@@ -190,9 +190,10 @@ def train(
 
     Supervision uses the dataset's noisy labels when present; clean labels
     are only ever read at evaluation time.  ``q`` supplies per-label
-    plausible sets for the dual-margin loss (and the mass diagnostics);
-    plain cross-entropy ignores it.  Evaluation runs on ``test_data`` when
-    given, else on the training features.
+    plausible sets for the dual-margin loss and, under either loss, the
+    mass diagnostics of the evaluation; cross-entropy trains without it.
+    Evaluation runs on ``test_data`` when given, else on the training
+    features.
 
     Raises :class:`TrainingDivergedError` on a non-finite loss.
     """
@@ -203,12 +204,13 @@ def train(
     if n == 0:
         raise ValueError("dataset is empty")
     C = data.class_count
-    if cfg.loss == "dual_margin":
-        if q is None:
-            raise ValueError("dual_margin loss requires a plausibility matrix")
+    if q is not None:
         q = np.asarray(q, dtype=bool)
         if q.shape != (C, C):
             raise ValueError(f"Q shape {q.shape} does not match class count {C}")
+    if cfg.loss == "dual_margin":
+        if q is None:
+            raise ValueError("dual_margin loss requires a plausibility matrix")
         params = LossParams(
             alpha=cfg.loss_params.alpha,
             beta=cfg.loss_params.beta,
@@ -229,7 +231,8 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             Xb, yb = X[sel], y[sel]
-            logits, hidden = _forward(model, Xb)
+            with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+                logits, hidden = _forward(model, Xb)
             if not np.all(np.isfinite(logits)):
                 raise TrainingDivergedError(
                     f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
@@ -252,7 +255,7 @@ def train(
                 model.biases[i] -= lr * velocity_b[i]
         curve.append(loss_sum / n)
 
-    report = evaluate(model, test_data if test_data is not None else data, q=q if cfg.loss == "dual_margin" else None)
+    report = evaluate(model, test_data if test_data is not None else data, q=q)
     report.train_curve = curve
     report.wall_time = time.perf_counter() - start
     return model, report

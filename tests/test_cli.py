@@ -1,12 +1,13 @@
 """CLI contract tests: exit codes, golden output, artifacts, determinism."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualmargin import LossParams, PlausibleSet, loss_from_logits, sets_from_q
+from dualmargin import LossParams, PlausibleSet, loss_from_logits, sets_from_q, training
 from dualmargin.cli import main
 from dualmargin.plausibility import q_ordinal, save_q_text
 
@@ -201,6 +202,46 @@ class TestExperimentCommands:
         heat = (out_dir / "heatmap.txt").read_text().splitlines()
         assert len(heat) == 2
         assert all(len(row.split()) == 1 for row in heat)
+
+    def test_sweep_metrics_accuracies_are_plain_floats(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seeds": [0],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 1},
+                "sweep": {"alpha_values": [0.1], "beta_values": [1.0, 10.0]},
+            },
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["sweep", "--config", cfg, "--out", out_dir], capsys)
+        assert code == 0
+        with open(out_dir / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3  # two dual-margin cells + the CE baseline
+        for row in rows:
+            assert 0.0 <= float(row["accuracy"]) <= 1.0
+
+    def test_noise_recovery_evaluates_each_run_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real_evaluate = training.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            calls.append(kwargs.get("q") is not None)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", counting_evaluate)
+        cfg = write_config(
+            tmp_path,
+            {
+                "seeds": [0],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 1},
+            },
+        )
+        code, _, _ = run_cli(["noise-recovery", "--config", cfg, "--out", tmp_path / "out"], capsys)
+        assert code == 0
+        assert calls == [True, True]  # one evaluation with Q per (seed, method)
 
     def test_sweep_records_bad_cells_and_continues(self, tmp_path, capsys):
         cfg = write_config(

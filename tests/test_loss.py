@@ -157,6 +157,21 @@ class TestLogitForm:
         got = loss_from_logits(z, pset(4, [0, 1], 0), LossParams(0.1, 10.0)).loss
         assert got == pytest.approx(float(expected), abs=1e-12)
 
+    def test_loss_far_below_eps_keeps_full_relative_accuracy(self):
+        # the true loss is ~1e-16, so log(1 + x) evaluated naively would read 0
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        z = [40.0, 0.0, 0.0]
+        params = LossParams(0.1, 10.0, reduction="none")
+        exps = [mp.e ** mp.mpf(v) for v in z]
+        p_t = exps[0] / sum(exps)
+        expected = float(mp.log(1 + (mp.mpf("0.1") + 10) * (1 - p_t) / p_t))
+        got = loss_from_logits(z, pset(3, [0], 0), params).loss
+        batched = batch_loss(np.array([z]), [0], np.eye(3, dtype=bool), params)[0]
+        assert 0.0 < expected < 1e-15
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert batched == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_extreme_logits_stay_finite_and_small(self):
         b = loss_from_logits([1e4, 0.0, 0.0], pset(3, [0], 0), LossParams(1.0, 1.0))
         assert np.isfinite(b.loss)
@@ -336,3 +351,49 @@ class TestBatch:
         Z = rng.normal(0, 300, size=(8, 12))
         p = softmax(Z, axis=1)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_huge_logits_raise_no_floating_point_error(self):
+        rng = np.random.default_rng(13)
+        Z = rng.normal(0.0, 1e4, size=(16, 7))
+        targets = rng.integers(0, 7, size=16)
+        qs = [rng.random((7, 7)) < 0.4, np.eye(7, dtype=bool), np.ones((7, 7), dtype=bool)]
+        # exp far below a cell's max rounds to 0 as IEEE requires, so only
+        # underflow is allowed; overflow, invalid and divide must not occur
+        with np.errstate(all="raise", under="ignore"):
+            for q in qs:
+                for params in (LossParams(0.1, 10.0), LossParams(0.0, 3.0), LossParams(2.0, 0.0)):
+                    loss, grad = batch_loss_and_grad(Z, targets, q, params)
+                    assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize(
+        "class_count, q_kind, alpha, beta",
+        [
+            (5, "target_only", 0.7, 3.0),
+            (5, "all_classes", 0.7, 3.0),
+            (5, "random", 0.0, 4.0),
+            (5, "random", 2.5, 0.0),
+            (2, "random", 0.7, 3.0),
+            (2, "target_only", 1.0, 1.0),
+        ],
+    )
+    def test_batch_gradient_matches_finite_differences_on_edge_cells(self, class_count, q_kind, alpha, beta):
+        rng = np.random.default_rng(class_count * 100 + int(alpha * 10) + int(beta))
+        B, C = 6, class_count
+        Z = rng.normal(0.0, 1.5, size=(B, C))
+        targets = rng.integers(0, C, size=B)
+        q = {
+            "target_only": np.eye(C, dtype=bool),
+            "all_classes": np.ones((C, C), dtype=bool),
+            "random": rng.random((C, C)) < 0.5,
+        }[q_kind]
+        params = LossParams(alpha, beta, reduction="none")
+        _, G = batch_loss_and_grad(Z, targets, q, params)
+        # rows are independent, so shifting one column of every row at once
+        # gives each row's own central difference
+        step = 1e-5
+        fd = np.empty_like(Z)
+        for c in range(C):
+            shift = np.zeros(C)
+            shift[c] = step
+            fd[:, c] = (batch_loss(Z + shift, targets, q, params) - batch_loss(Z - shift, targets, q, params)) / (2 * step)
+        np.testing.assert_allclose(G, fd, rtol=2e-6, atol=1e-9)

@@ -1,5 +1,7 @@
 """Tests for the trainer: determinism, CE equivalence, backprop, metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,10 @@ class TestTraining:
         labels = np.arange(32) % 2
         data = LabeledDataset(features=features, clean_labels=labels, class_count=2)
         cfg = TrainConfig(learning_rate=1.0, epochs=3, batch_size=16, seed=0)
-        with pytest.raises(TrainingDivergedError, match="epoch"):
-            train(data, None, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning first
+            with pytest.raises(TrainingDivergedError, match="epoch"):
+                train(data, None, cfg)
 
     def test_dual_margin_requires_q(self):
         data, _ = separable_mixture()
@@ -91,6 +95,14 @@ class TestTraining:
         )
         with pytest.raises(ValueError):
             train(data, None, cfg)
+
+    def test_cross_entropy_with_q_reports_masses_and_checks_shape(self):
+        data, test = separable_mixture()
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=0)
+        model, report = train(data, q_identity(4), cfg, test_data=test)
+        assert report.mean_mass == evaluate(model, test, q=q_identity(4)).mean_mass
+        with pytest.raises(ValueError, match="Q shape"):
+            train(data, q_identity(3), cfg)
 
     def test_cosine_schedule_trains(self):
         data, test = separable_mixture()
