@@ -19,7 +19,6 @@ from .loss import (
     grad_from_logits,
     loss_from_logits,
     loss_from_probs,
-    masked_lse,
     sets_from_q,
     softmax,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "grad_from_logits",
     "loss_from_logits",
     "loss_from_probs",
-    "masked_lse",
     "sets_from_q",
     "softmax",
     "per_sample_sets",

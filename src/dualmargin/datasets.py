@@ -21,7 +21,6 @@ __all__ = [
     "make_gaussian_mixture",
     "make_ordinal_line",
     "make_mil_bags",
-    "export_dataset_text",
 ]
 
 # defaults used by the toy experiments; chosen so that label ambiguity is
@@ -232,18 +231,3 @@ def make_mil_bags(
         bags.append(centers + rng.normal(size=(bag_size, dim)))
         truth.append(inst)
     return BagDataset(bags=bags, bag_labels=bag_labels, instance_truth=truth)
-
-
-def export_dataset_text(dataset: LabeledDataset, path) -> None:
-    """Columnar text dump: header then one row per sample.
-
-    Columns are f0..f{d-1}, clean_label, and noisy_label (-1 when absent).
-    """
-    header = " ".join(f"f{i}" for i in range(dataset.dim)) + " clean_label noisy_label"
-    noisy = dataset.noisy_labels
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(dataset.n):
-            feats = " ".join(repr(float(v)) for v in dataset.features[i])
-            nz = int(noisy[i]) if noisy is not None else -1
-            fh.write(f"{feats} {int(dataset.clean_labels[i])} {nz}\n")

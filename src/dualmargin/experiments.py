@@ -12,6 +12,14 @@ Per output directory the runners emit:
 * ``report.json``   -- structured per-run metrics plus aggregates
 * ``manifest.json`` -- config hash, seed list, library version
 * experiment-specific plot data (boundary grids, heatmap matrix)
+
+``toy2d``, ``noise_recovery`` and ``mil_toy`` run through one CE-vs-dual-
+margin driver, :func:`_run_ce_vs_dm`.  Their ``report.json`` holds
+``runs`` (``{method: {seed: metrics}}``), ``failures`` and ``summary``
+(``{method: {column: {mean, std}}}`` over the metrics.csv score columns
+the family fills, leaving out a method with no completed run).  A
+diverged run is recorded in ``failures`` and the others go on.  The
+config hash leaves out ``output_dir``.
 """
 
 from __future__ import annotations
@@ -189,15 +197,23 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError("seeds must be a nonempty list of integers")
     if not cfg.get("output_dir"):
         raise ValueError("output_dir must be set")
+    # the sections a family reads are the objects in its defaults
+    sections = [key for key, value in _DEFAULTS[experiment].items() if isinstance(value, dict)]
+    for section in sections:
+        if not isinstance(cfg.get(section), dict):
+            raise ValueError(f"{section} must be an object, got {cfg.get(section)!r}")
+    unknown = sorted(set(cfg["train"]) - set(_BASE_TRAIN))
+    if unknown:
+        raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
     # building these raises ValueError on bad values
     TrainConfig(seed=0, **cfg["train"])
-    if experiment in ("noise_recovery", "sweep"):
+    if "noise" in sections:
         _noise_spec(cfg["noise"])
-    if experiment in ("toy2d", "noise_recovery", "mil_toy"):
-        loss = cfg.get("loss", {})
+    if "loss" in sections:
+        loss = cfg["loss"]
         LossParams(alpha=loss.get("alpha", 1.0), beta=loss.get("beta", 0.0))
     if experiment == "sweep":
-        grid = cfg.get("sweep", {})
+        grid = cfg["sweep"]
         alphas, betas = grid.get("alpha_values"), grid.get("beta_values")
         for name, values in (("alpha_values", alphas), ("beta_values", betas)):
             if not isinstance(values, list) or not values:
@@ -208,7 +224,9 @@ def validate_config(cfg: dict) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Hash of the experiment a config describes; where it is written is not part of it."""
+    experiment = {key: value for key, value in cfg.items() if key != "output_dir"}
+    canonical = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -264,16 +282,9 @@ def _write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, cfg: dict) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {"config_hash": config_hash(cfg), "seeds": cfg["seeds"], "version": __version__},
-    )
-
-
 def _report_payload(report) -> dict:
     """JSON-ready view of a report; wall time stays out of the artifacts."""
-    payload = {
+    return {
         "train_curve": [float(v) for v in report.train_curve],
         "clean_test_accuracy": report.clean_test_accuracy,
         "confusion_matrix": report.confusion_matrix.tolist(),
@@ -281,7 +292,6 @@ def _report_payload(report) -> dict:
         "mean_mass": report.mean_mass,
         "extras": report.extras,
     }
-    return payload
 
 
 def _mean_std(values: list[float]) -> dict:
@@ -300,60 +310,115 @@ def _train_config(cfg: dict, seed: int, loss: str, loss_params: LossParams | Non
 # experiment families
 # ---------------------------------------------------------------------------
 
+# metrics.csv columns that hold per-run scores; the summary aggregates the
+# ones a family fills
+_SCORE_COLUMNS = METRIC_COLUMNS[METRIC_COLUMNS.index("accuracy"):]
 
-def run_toy2d(cfg: dict) -> dict:
-    """Ring classification, cross-entropy vs dual-margin with a cyclic window."""
-    ds_cfg = cfg["dataset"]
-    C = ds_cfg["class_count"]
-    q = q_ordinal(C, int(cfg.get("window", 1)), boundary="wrap")
+
+def _run_ce_vs_dm(cfg: dict, q, data_for_seed, fit, row_metrics, ce_q=None):
+    """Train cross-entropy (with ``ce_q``) and dual-margin (with ``q``) per seed.
+
+    ``data_for_seed(seed)`` builds a seed's data, ``fit(data, q, tc)``
+    returns ``(model, report)`` and ``row_metrics(report)`` the family's
+    extra metrics.csv columns.  Returns the rows, the report (runs,
+    summary, failures) and the first seed's model per completed method.
+    """
+    experiment = cfg["experiment"]
     alpha, beta = cfg["loss"]["alpha"], cfg["loss"]["beta"]
+    # per method: loss, loss parameters, Q, and the alpha and beta of its rows
+    methods = {
+        "ce": ("cross_entropy", None, ce_q, 1.0, 0.0),
+        "dual_margin": ("dual_margin", LossParams(alpha, beta), q, alpha, beta),
+    }
     rows: list[dict] = []
-    runs: dict[str, dict] = {"ce": {}, "dual_margin": {}}
+    runs: dict[str, dict] = {method: {} for method in methods}
     failures: list[dict] = []
-    grid_models: dict[str, object] = {}
+    first_models: dict[str, object] = {}
 
     for seed in cfg["seeds"]:
-        data = make_ring(C, ds_cfg["n_per_class"], ds_cfg["angular_noise_std"], seed=seed)
-        test = make_ring(C, ds_cfg["n_test_per_class"], ds_cfg["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET)
-        for method in ("ce", "dual_margin"):
-            if method == "ce":
-                tc = _train_config(cfg, seed, "cross_entropy")
-                q_arg = None
-            else:
-                tc = _train_config(cfg, seed, "dual_margin", LossParams(alpha, beta))
-                q_arg = q
+        data = data_for_seed(seed)
+        for method, (loss, loss_params, q_arg, row_alpha, row_beta) in methods.items():
             try:
-                model, report = train(data, q_arg, tc, test_data=test)
+                model, report = fit(data, q_arg, _train_config(cfg, seed, loss, loss_params))
             except TrainingDivergedError as exc:
                 failures.append({"seed": seed, "method": method, "error": str(exc)})
                 continue
-            print(f"[toy2d] seed={seed} method={method} acc={report.clean_test_accuracy:.4f} wall={report.wall_time:.2f}s")
+            print(
+                f"[{experiment}] seed={seed} method={method} "
+                f"acc={report.clean_test_accuracy:.4f} wall={report.wall_time:.2f}s"
+            )
             runs[method][str(seed)] = _report_payload(report)
             rows.append(
                 {
-                    "experiment": "toy2d",
+                    "experiment": experiment,
                     "seed": seed,
                     "method": method,
-                    "alpha": alpha if method == "dual_margin" else 1.0,
-                    "beta": beta if method == "dual_margin" else 0.0,
+                    "alpha": row_alpha,
+                    "beta": row_beta,
                     "accuracy": report.clean_test_accuracy,
-                    "diagonal_mass": diagonal_mass(report.confusion_matrix),
+                    **row_metrics(report),
                 }
             )
             if seed == cfg["seeds"][0]:
-                grid_models[method] = model
+                first_models[method] = model
 
+    summary = {}
+    for method in methods:
+        done = [row for row in rows if row["method"] == method]
+        if done:
+            summary[method] = {col: _mean_std([row[col] for row in done]) for col in _SCORE_COLUMNS if col in done[0]}
+    result = {"experiment": experiment, "runs": runs, "summary": summary, "failures": failures}
+    return rows, result, first_models
+
+
+def _fit_train(split, q, tc: TrainConfig):
+    """``fit`` for a (train, test) split; ``train`` is looked up per call."""
+    train_ds, test_ds = split
+    return train(train_ds, q, tc, test_data=test_ds)
+
+
+def _transition_and_q(cfg: dict):
+    """The noise spec's transition matrix and its support as Q."""
+    transition = build_transition(_noise_spec(cfg["noise"]), cfg["dataset"]["class_count"])
+    return transition, q_from_transition(transition)
+
+
+def _noisy_mixture_split(cfg: dict, seed: int, transition):
+    """A (noisy train, clean test) split of one fixed mixture per seed."""
+    ds = cfg["dataset"]
+    # the test split shares the class means
+    train_ds = make_gaussian_mixture(
+        ds["class_count"], ds["dim"], ds["n_per_class"], ds["class_separation"],
+        seed=seed, means_seed=seed,
+    )
+    test_ds = make_gaussian_mixture(
+        ds["class_count"], ds["dim"], ds["n_test_per_class"], ds["class_separation"],
+        seed=seed + _TEST_SEED_OFFSET, means_seed=seed,
+    )
+    noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
+    return train_ds.with_noisy_labels(noisy), test_ds
+
+
+def run_toy2d(cfg: dict) -> dict:
+    """Ring classification, cross-entropy vs dual-margin with a cyclic window."""
+    ds = cfg["dataset"]
+    C = ds["class_count"]
+
+    def ring_split(seed):
+        return (
+            make_ring(C, ds["n_per_class"], ds["angular_noise_std"], seed=seed),
+            make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
+        )
+
+    q = q_ordinal(C, int(cfg.get("window", 1)), boundary="wrap")
+    rows, result, first_models = _run_ce_vs_dm(
+        cfg, q, ring_split, _fit_train,
+        lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix)},
+    )
     out_dir = Path(cfg["output_dir"])
     resolution = int(cfg.get("grid_resolution", 60))
-    for method, model in grid_models.items():
+    for method, model in first_models.items():
         atomic_write_text(out_dir / f"boundary_grid_{method}.txt", _boundary_grid_text(model, resolution))
-
-    summary = {
-        method: _mean_std([r["clean_test_accuracy"] for r in per_seed.values()])
-        for method, per_seed in runs.items()
-        if per_seed
-    }
-    result = {"experiment": "toy2d", "runs": runs, "summary": summary, "failures": failures}
     _persist(out_dir, cfg, rows, result)
     return result
 
@@ -368,89 +433,26 @@ def _boundary_grid_text(model, resolution: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mixture_split(cfg: dict, seed: int):
-    ds = cfg["dataset"]
-    # one fixed mixture per seed: the test split shares the class means
-    train_ds = make_gaussian_mixture(
-        ds["class_count"], ds["dim"], ds["n_per_class"], ds["class_separation"],
-        seed=seed, means_seed=seed,
-    )
-    test_ds = make_gaussian_mixture(
-        ds["class_count"], ds["dim"], ds["n_test_per_class"], ds["class_separation"],
-        seed=seed + _TEST_SEED_OFFSET, means_seed=seed,
-    )
-    return train_ds, test_ds
-
-
 def run_noise_recovery(cfg: dict) -> dict:
     """Corrupt a mixture per the noise spec, then compare CE vs dual-margin."""
-    ds_cfg = cfg["dataset"]
-    C = ds_cfg["class_count"]
-    spec = _noise_spec(cfg["noise"])
-    transition = build_transition(spec, C)
-    q = q_from_transition(transition)
-    alpha, beta = cfg["loss"]["alpha"], cfg["loss"]["beta"]
-
-    rows: list[dict] = []
-    runs: dict[str, dict] = {"ce": {}, "dual_margin": {}}
-    for seed in cfg["seeds"]:
-        train_ds, test_ds = _mixture_split(cfg, seed)
-        noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
-        noisy_ds = train_ds.with_noisy_labels(noisy)
-        for method in ("ce", "dual_margin"):
-            if method == "ce":
-                tc = _train_config(cfg, seed, "cross_entropy")
-            else:
-                tc = _train_config(cfg, seed, "dual_margin", LossParams(alpha, beta))
-            _, scored = train(noisy_ds, q, tc, test_data=test_ds)
-            print(
-                f"[noise_recovery] seed={seed} method={method} "
-                f"acc={scored.clean_test_accuracy:.4f} wall={scored.wall_time:.2f}s"
-            )
-            runs[method][str(seed)] = _report_payload(scored)
-            rows.append(
-                {
-                    "experiment": "noise_recovery",
-                    "seed": seed,
-                    "method": method,
-                    "alpha": alpha if method == "dual_margin" else 1.0,
-                    "beta": beta if method == "dual_margin" else 0.0,
-                    "accuracy": scored.clean_test_accuracy,
-                    "diagonal_mass": diagonal_mass(scored.confusion_matrix),
-                    "p_target": scored.mean_mass["p_target"],
-                    "p_plausible": scored.mean_mass["p_plausible"],
-                    "p_implausible": scored.mean_mass["p_implausible"],
-                }
-            )
-
-    summary = {
-        method: {
-            "accuracy": _mean_std([r["clean_test_accuracy"] for r in per_seed.values()]),
-            "diagonal_mass": _mean_std([r["diagonal_mass"] for r in per_seed.values()]),
-        }
-        for method, per_seed in runs.items()
-    }
-    result = {"experiment": "noise_recovery", "noise": cfg["noise"], "runs": runs, "summary": summary}
+    transition, q = _transition_and_q(cfg)
+    rows, result, _ = _run_ce_vs_dm(
+        cfg, q, lambda seed: _noisy_mixture_split(cfg, seed, transition), _fit_train,
+        lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix), **report.mean_mass},
+        ce_q=q,
+    )
+    result["noise"] = cfg["noise"]
     _persist(Path(cfg["output_dir"]), cfg, rows, result)
     return result
 
 
 def run_sweep(cfg: dict) -> dict:
     """One dual-margin run per (alpha, beta) cell plus a CE baseline."""
-    ds_cfg = cfg["dataset"]
-    C = ds_cfg["class_count"]
-    spec = _noise_spec(cfg["noise"])
-    transition = build_transition(spec, C)
-    q = q_from_transition(transition)
+    transition, q = _transition_and_q(cfg)
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
     seeds = cfg["seeds"]
-
-    splits = {}
-    for seed in seeds:
-        train_ds, test_ds = _mixture_split(cfg, seed)
-        noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
-        splits[seed] = (train_ds.with_noisy_labels(noisy), test_ds)
+    splits = {seed: _noisy_mixture_split(cfg, seed, transition) for seed in seeds}
 
     ce_accs = []
     for seed in seeds:
@@ -523,57 +525,26 @@ def run_sweep(cfg: dict) -> dict:
 def run_mil_toy(cfg: dict) -> dict:
     """Instance-level MIL: CE on inherited labels vs dual-margin with the MIL mask."""
     ds = cfg["dataset"]
-    alpha, beta = cfg["loss"]["alpha"], cfg["loss"]["beta"]
-    q = q_mil()
-    rows: list[dict] = []
-    runs: dict[str, dict] = {"ce": {}, "dual_margin": {}}
-    for seed in cfg["seeds"]:
-        bags = make_mil_bags(
+
+    def bags_for_seed(seed):
+        return make_mil_bags(
             ds["n_bags"], ds["bag_size"], ds["positive_instance_rate"],
             dim=ds.get("dim", 2), seed=seed, separation=ds.get("separation", 3.0),
         )
-        for method in ("ce", "dual_margin"):
-            if method == "ce":
-                tc = _train_config(cfg, seed, "cross_entropy")
-                report = train_mil_instances(bags, tc)
-            else:
-                tc = _train_config(cfg, seed, "dual_margin", LossParams(alpha, beta))
-                report = train_mil_instances(bags, tc, q=q)
-            print(
-                f"[mil_toy] seed={seed} method={method} acc={report.clean_test_accuracy:.4f} "
-                f"neg-in-pos-recall={report.extras['recall_negative_in_positive_bags']:.4f}"
-            )
-            runs[method][str(seed)] = _report_payload(report)
-            rows.append(
-                {
-                    "experiment": "mil_toy",
-                    "seed": seed,
-                    "method": method,
-                    "alpha": alpha if method == "dual_margin" else 1.0,
-                    "beta": beta if method == "dual_margin" else 0.0,
-                    "accuracy": report.clean_test_accuracy,
-                    "recall_negative_in_positive_bags": report.extras["recall_negative_in_positive_bags"],
-                }
-            )
 
-    summary = {
-        method: {
-            "accuracy": _mean_std([r["clean_test_accuracy"] for r in per_seed.values()]),
-            "recall_negative_in_positive_bags": _mean_std(
-                [r["extras"]["recall_negative_in_positive_bags"] for r in per_seed.values()]
-            ),
-        }
-        for method, per_seed in runs.items()
-    }
-    result = {"experiment": "mil_toy", "runs": runs, "summary": summary}
+    rows, result, _ = _run_ce_vs_dm(
+        cfg, q_mil(), bags_for_seed, lambda bags, q, tc: (None, train_mil_instances(bags, tc, q=q)),
+        lambda report: {"recall_negative_in_positive_bags": report.extras["recall_negative_in_positive_bags"]},
+    )
     _persist(Path(cfg["output_dir"]), cfg, rows, result)
     return result
 
 
 def _persist(out_dir: Path, cfg: dict, rows: list[dict], result: dict) -> None:
+    digest = config_hash(cfg)
     _write_metrics_csv(out_dir, rows)
-    _write_json(out_dir / "report.json", {"config": cfg, "config_hash": config_hash(cfg), **result})
-    _write_manifest(out_dir, cfg)
+    _write_json(out_dir / "report.json", {"config": cfg, "config_hash": digest, **result})
+    _write_json(out_dir / "manifest.json", {"config_hash": digest, "seeds": cfg["seeds"], "version": __version__})
 
 
 _RUNNERS = {

@@ -55,7 +55,6 @@ __all__ = [
     "LossParams",
     "PlausibleSet",
     "LossBreakdown",
-    "masked_lse",
     "softmax",
     "loss_from_probs",
     "loss_from_logits",
@@ -159,28 +158,6 @@ class LossBreakdown:
             "z_non_target": self.z_non_target,
             "loss": self.loss,
         }
-
-
-def masked_lse(values, mask) -> float:
-    """log(sum(exp(values[mask]))) with max-subtraction; -inf on empty mask.
-
-    The maximum over the selected entries is subtracted before
-    exponentiation, so no intermediate exponential can overflow regardless
-    of the magnitude of the inputs.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if values.ndim != 1 or mask.ndim != 1:
-        raise ValueError("values and mask must be 1-D")
-    if values.shape != mask.shape:
-        raise ValueError(f"length mismatch: values {values.shape} vs mask {mask.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    if not mask.any():
-        return float("-inf")
-    selected = values[mask]
-    m = selected.max()
-    return float(m + np.log(np.exp(selected - m).sum()))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -34,12 +34,6 @@ __all__ = [
     "default_column_sinks",
     "build_transition",
     "corrupt_labels",
-    "transition_to_text",
-    "transition_from_text",
-    "save_transition_text",
-    "load_transition_text",
-    "transition_to_dict",
-    "transition_from_dict",
 ]
 
 TOPOLOGIES = ("column", "asymmetric_pairs", "cyclic_superclass", "block_superclass")
@@ -72,10 +66,9 @@ class NoiseSpec:
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic corruption probabilities plus the driving noise rate."""
+    """Row-stochastic corruption probabilities."""
 
     probs: np.ndarray
-    noise_rate: float
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -89,7 +82,6 @@ class TransitionMatrix:
             row = int(np.argmax(bad))
             raise ValueError(f"row {row} sums to {sums[row]!r}, not 1")
         self.probs = probs
-        self.noise_rate = float(self.noise_rate)
 
     @property
     def class_count(self) -> int:
@@ -165,7 +157,7 @@ def build_transition(spec: NoiseSpec, class_count: int) -> TransitionMatrix:
                     if other != c:
                         T[c, other] = eta / (g - 1)
 
-    return TransitionMatrix(probs=T, noise_rate=eta)
+    return TransitionMatrix(probs=T)
 
 
 def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray:
@@ -187,66 +179,3 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
         out[i] = np.searchsorted(cdf[c], ui, side="right")
     np.minimum(out, C - 1, out=out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization (same row layout as the plausibility text format, but with
-# decimal probabilities)
-# ---------------------------------------------------------------------------
-
-
-def transition_to_text(transition: TransitionMatrix) -> str:
-    return "\n".join(" ".join(repr(float(v)) for v in row) for row in transition.probs) + "\n"
-
-
-def transition_from_text(text: str) -> TransitionMatrix:
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty transition matrix text")
-    for i, line in enumerate(lines):
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ValueError(f"row {i}: {exc}") from exc
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {i}: expected {width} columns, got {len(row)}")
-    probs = np.array(rows, dtype=np.float64)
-    if probs.shape[0] != probs.shape[1]:
-        raise ValueError(f"matrix is not square: {probs.shape[0]} rows x {probs.shape[1]} columns")
-    # the driving rate is recoverable as the largest per-row corruption mass
-    noise_rate = float(np.max(1.0 - np.diag(probs))) if probs.size else 0.0
-    return TransitionMatrix(probs=probs, noise_rate=noise_rate)
-
-
-def save_transition_text(transition: TransitionMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(transition_to_text(transition))
-
-
-def load_transition_text(path) -> TransitionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return transition_from_text(fh.read())
-
-
-def transition_to_dict(transition: TransitionMatrix) -> dict:
-    return {
-        "class_count": transition.class_count,
-        "noise_rate": transition.noise_rate,
-        "rows": transition.probs.tolist(),
-    }
-
-
-def transition_from_dict(doc: dict) -> TransitionMatrix:
-    try:
-        count = int(doc["class_count"])
-        rate = float(doc["noise_rate"])
-        rows = doc["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed transition document: {exc}") from exc
-    probs = np.asarray(rows, dtype=np.float64)
-    if probs.shape != (count, count):
-        raise ValueError(f"rows shape {probs.shape} disagrees with class_count {count}")
-    return TransitionMatrix(probs=probs, noise_rate=rate)

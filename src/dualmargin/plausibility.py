@@ -6,14 +6,13 @@ read column ``t`` and force the diagonal, so every label always yields a
 nonempty plausible set.  Dense storage is deliberate: class counts here
 are at most a few thousand.
 
-Two interchange formats are supported: a plain text layout of C rows of
-space-separated 0/1 tokens, and a dict/JSON form ``{"class_count": C,
-"rows": [[...], ...]}``.  Loaders validate squareness and token values.
+Q has one interchange format, read by the ``loss-eval`` command: C text
+rows of space-separated 0/1 tokens.  The loader validates squareness and
+token values and names the offending row.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -25,14 +24,8 @@ __all__ = [
     "q_mil",
     "q_from_transition",
     "per_sample_sets",
-    "q_to_text",
     "q_from_text",
-    "save_q_text",
     "load_q_text",
-    "q_to_dict",
-    "q_from_dict",
-    "save_q_json",
-    "load_q_json",
 ]
 
 MIL_NEGATIVE = 0
@@ -137,11 +130,6 @@ def per_sample_sets(targets, sigmas, class_count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def q_to_text(q: np.ndarray) -> str:
-    q = np.asarray(q, dtype=bool)
-    return "\n".join(" ".join("1" if v else "0" for v in row) for row in q) + "\n"
-
-
 def q_from_text(text: str) -> np.ndarray:
     """Parse the 0/1 row format; raises ValueError naming the offending row."""
     rows = []
@@ -166,39 +154,6 @@ def q_from_text(text: str) -> np.ndarray:
     return q
 
 
-def save_q_text(q: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(q_to_text(q))
-
-
 def load_q_text(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return q_from_text(fh.read())
-
-
-def q_to_dict(q: np.ndarray) -> dict:
-    q = np.asarray(q, dtype=bool)
-    return {"class_count": int(q.shape[0]), "rows": q.astype(int).tolist()}
-
-
-def q_from_dict(doc: dict) -> np.ndarray:
-    try:
-        count = int(doc["class_count"])
-        rows = doc["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plausibility document: {exc}") from exc
-    q = q_from_text("\n".join(" ".join(str(int(v)) for v in row) for row in rows))
-    if q.shape[0] != count:
-        raise ValueError(f"class_count {count} disagrees with {q.shape[0]} rows")
-    return q
-
-
-def save_q_json(q: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(q_to_dict(q), fh, indent=2)
-        fh.write("\n")
-
-
-def load_q_json(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return q_from_dict(json.load(fh))

@@ -54,13 +54,6 @@ class ModelParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            architecture=self.architecture,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -195,7 +188,8 @@ def train(
     Evaluation runs on ``test_data`` when given, else on the training
     features.
 
-    Raises :class:`TrainingDivergedError` on a non-finite loss.
+    Raises :class:`TrainingDivergedError` on non-finite logits or loss, or
+    on non-finite weights at the end.
     """
     start = time.perf_counter()
     X = data.features
@@ -231,29 +225,32 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             Xb, yb = X[sel], y[sel]
-            with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            # divergence is reported below, or by the weight check after the loop
+            with np.errstate(over="ignore", invalid="ignore"):
                 logits, hidden = _forward(model, Xb)
-            if not np.all(np.isfinite(logits)):
-                raise TrainingDivergedError(
-                    f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
-                )
-            if cfg.loss == "cross_entropy":
-                loss_value, grad_logits = _ce_loss_and_grad(logits, yb)
-            else:
-                loss_value, grad_logits = batch_loss_and_grad(logits, yb, q, params)
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss_value!r} at epoch {epoch}, batch offset {lo} "
-                    f"(lr={lr:g}, loss={cfg.loss})"
-                )
-            loss_sum += loss_value * len(sel)
-            grads_w, grads_b = _backward(model, Xb, hidden, grad_logits)
-            for i in range(len(model.weights)):
-                velocity_w[i] = cfg.momentum * velocity_w[i] + grads_w[i]
-                velocity_b[i] = cfg.momentum * velocity_b[i] + grads_b[i]
-                model.weights[i] -= lr * velocity_w[i]
-                model.biases[i] -= lr * velocity_b[i]
+                if not np.all(np.isfinite(logits)):
+                    raise TrainingDivergedError(
+                        f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
+                    )
+                if cfg.loss == "cross_entropy":
+                    loss_value, grad_logits = _ce_loss_and_grad(logits, yb)
+                else:
+                    loss_value, grad_logits = batch_loss_and_grad(logits, yb, q, params)
+                if not np.isfinite(loss_value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {loss_value!r} at epoch {epoch}, batch offset {lo} "
+                        f"(lr={lr:g}, loss={cfg.loss})"
+                    )
+                loss_sum += loss_value * len(sel)
+                grads_w, grads_b = _backward(model, Xb, hidden, grad_logits)
+                for i in range(len(model.weights)):
+                    velocity_w[i] = cfg.momentum * velocity_w[i] + grads_w[i]
+                    velocity_b[i] = cfg.momentum * velocity_b[i] + grads_b[i]
+                    model.weights[i] -= lr * velocity_w[i]
+                    model.biases[i] -= lr * velocity_b[i]
         curve.append(loss_sum / n)
+    if not all(np.all(np.isfinite(p)) for p in model.weights + model.biases):
+        raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={cfg.loss})")
 
     report = evaluate(model, test_data if test_data is not None else data, q=q)
     report.train_curve = curve

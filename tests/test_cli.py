@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from dualmargin import LossParams, PlausibleSet, loss_from_logits, sets_from_q, training
 from dualmargin.cli import main
-from dualmargin.plausibility import q_ordinal, save_q_text
+from dualmargin.plausibility import q_ordinal
 
 
 @pytest.fixture
@@ -17,7 +19,7 @@ def loss_eval_files(tmp_path):
     z_path = tmp_path / "z.txt"
     z_path.write_text("2.0 1.0 0.0 -1.0\n")
     q_path = tmp_path / "q.txt"
-    save_q_text(q_ordinal(4, 1, "clamp"), q_path)
+    q_path.write_text("1 1 0 0\n1 1 1 0\n0 1 1 1\n0 0 1 1\n")  # q_ordinal(4, 1, "clamp")
     return z_path, q_path
 
 
@@ -117,6 +119,10 @@ class TestExperimentCommands:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["experiment"] == "toy2d"
         assert "0" in report["runs"]["ce"]
+        assert report["failures"] == []
+        for method in ("ce", "dual_margin"):
+            assert set(report["summary"][method]) == {"accuracy", "diagonal_mass"}
+            assert set(report["summary"][method]["accuracy"]) == {"mean", "std"}
 
     def test_manifest_records_hash_seeds_version(self, tmp_path, capsys):
         from dualmargin import __version__
@@ -142,7 +148,8 @@ class TestExperimentCommands:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli(["toy2d", "--config", cfg, "--out", out_a], capsys)
         run_cli(["toy2d", "--config", cfg, "--out", out_b], capsys)
-        for name in ("metrics.csv", "boundary_grid_ce.txt", "boundary_grid_dual_margin.txt"):
+        # the config hash leaves out output_dir, so the manifests match too
+        for name in ("metrics.csv", "manifest.json", "boundary_grid_ce.txt", "boundary_grid_dual_margin.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         # reports differ only in the echoed output_dir; compare without it
         rep_a = json.loads((out_a / "report.json").read_text())
@@ -273,3 +280,101 @@ class TestExperimentCommands:
         bad.write_text("{nope")
         code, _, err = run_cli(["toy2d", "--config", bad, "--out", tmp_path / "o"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"train": {"epoch": 3}}, "epoch"),
+            ({"dataset": None}, "dataset"),
+        ],
+    )
+    def test_bad_config_section_exits_2_naming_key(self, tmp_path, capsys, doc, key):
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run_cli(["noise-recovery", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command,dataset,lr",
+        [
+            ("noise-recovery", {"n_per_class": 20, "n_test_per_class": 20}, 1e300),
+            # a saturated linear MIL model keeps its weights finite at 1e300
+            ("mil-toy", {"n_bags": 8, "bag_size": 10}, 1e308),
+        ],
+    )
+    def test_diverged_runs_are_recorded_and_the_rest_continue(self, tmp_path, capsys, command, dataset, lr):
+        cfg = write_config(
+            tmp_path,
+            {"seeds": [0], "dataset": dataset, "train": {"epochs": 2, "learning_rate": lr}},
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli([command, "--config", cfg, "--out", out_dir], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        with open(out_dir / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(report["failures"]) >= 1
+        assert len(rows) + len(report["failures"]) == 2  # one seed, two methods
+        failed = {f["method"] for f in report["failures"]}
+        assert failed.isdisjoint(report["summary"])
+
+
+# run in a fresh interpreter: perfbench/child.py wraps module attributes
+_HOOKS_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import child
+import dualmargin.cli as cli
+
+tracer = child.Tracer()
+child.install(tracer, "trace")
+for command, config in json.loads(sys.argv[3]):
+    assert cli.main([command, "--config", config[0], "--out", config[1]]) == 0, command
+print(json.dumps(sorted(tracer.stats)))
+"""
+
+
+def test_benchmark_hooks_see_every_layer(tmp_path):
+    """The benchmark times the experiments through wrapped module attributes;
+    a runner that binds one of them at import time hides it from the trace."""
+    root = Path(__file__).resolve().parent.parent
+    tiny = {
+        "toy2d": dict(TINY_TOY2D, train={"epochs": 1}),
+        "mil-toy": {"seeds": [0], "dataset": {"n_bags": 4, "bag_size": 5}, "train": {"epochs": 1}},
+        "noise-recovery": {
+            "seeds": [0],
+            "dataset": {"n_per_class": 10, "n_test_per_class": 5},
+            "train": {"epochs": 1},
+        },
+    }
+    runs = []
+    for command, doc in tiny.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(doc))
+        runs.append([command, [str(config), str(tmp_path / command)]])
+    done = subprocess.run(
+        [sys.executable, "-c", _HOOKS_SCRIPT, str(root / "perfbench"), str(root / "src"), json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = set(json.loads(done.stdout.splitlines()[-1]))
+    assert {"training.train", "training.train_mil_instances"} <= spans
+    assert {
+        "experiments.run",
+        "experiments.write",
+        "experiments.serialize",
+        "datasets.make_ring",
+        "datasets.make_mil_bags",
+        "datasets.make_gaussian_mixture",
+        "noise.build_transition",
+        "noise.corrupt_labels",
+        "plausibility.q_ordinal",
+        "plausibility.q_mil",
+        "plausibility.q_from_transition",
+        "training.evaluate",
+        "training.predict_logits",
+        "loss.batch_loss_and_grad",
+        "loss.ce_loss_and_grad",
+    } <= spans

@@ -160,27 +160,3 @@ class TestMilBags:
         b = make_mil_bags(12, 9, 0.4, seed=7)
         for xa, xb in zip(a.bags, b.bags):
             np.testing.assert_array_equal(xa, xb)
-
-
-class TestExport:
-    def test_columnar_dump(self, tmp_path):
-        from dualmargin.datasets import export_dataset_text
-
-        ds = make_ordinal_line(3, n_per_class=4, overlap_std=0.1, seed=0)
-        ds = ds.with_noisy_labels(ds.clean_labels.copy())
-        path = tmp_path / "data.txt"
-        export_dataset_text(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f0 clean_label noisy_label"
-        assert len(lines) == 1 + ds.n
-        first = lines[1].split()
-        assert float(first[0]) == ds.features[0, 0]
-        assert int(first[1]) == ds.clean_labels[0]
-
-    def test_missing_noisy_labels_dump_as_minus_one(self, tmp_path):
-        from dualmargin.datasets import export_dataset_text
-
-        ds = make_ordinal_line(3, n_per_class=2, overlap_std=0.1, seed=0)
-        path = tmp_path / "data.txt"
-        export_dataset_text(ds, path)
-        assert path.read_text().splitlines()[1].split()[-1] == "-1"

@@ -20,7 +20,6 @@ from dualmargin import (
     grad_from_logits,
     loss_from_logits,
     loss_from_probs,
-    masked_lse,
     sets_from_q,
     softmax,
 )
@@ -35,48 +34,6 @@ def log_softmax_oracle(z, t):
     z = np.asarray(z, dtype=np.float64)
     m = z.max()
     return float(m + np.log(np.exp(z - m).sum()) - z[t])
-
-
-class TestMaskedLse:
-    def test_single_element_identity(self):
-        assert masked_lse([5.0], [True]) == 5.0
-
-    def test_exact_sum_of_exponentials(self):
-        got = masked_lse([np.log(2.0), np.log(3.0)], [True, True])
-        assert got == pytest.approx(np.log(5.0), abs=1e-14)
-
-    def test_max_subtraction_beats_naive_overflow(self):
-        values = np.array([1000.0, 1000.0])
-        got = masked_lse(values, [True, True])
-        assert got == pytest.approx(1000.0 + np.log(2.0), abs=1e-12)
-        with np.errstate(over="ignore"):
-            naive = np.log(np.exp(values).sum())
-        assert not np.isfinite(naive)
-
-    def test_empty_mask_is_neg_infinity(self):
-        assert masked_lse([1.0, 2.0, 3.0], [False, False, False]) == -np.inf
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            masked_lse([1.0, 2.0], [True])
-
-    def test_non_finite_values_raise(self):
-        with pytest.raises(ValueError):
-            masked_lse([np.inf, 0.0], [True, True])
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_naive_sum_for_small_values(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 12))
-        values = rng.uniform(-30.0, 30.0, n)
-        mask = rng.random(n) < 0.6
-        got = masked_lse(values, mask)
-        if not mask.any():
-            assert got == -np.inf
-        else:
-            expected = np.log(np.exp(values[mask]).sum())
-            np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestParamsAndSets:

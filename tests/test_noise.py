@@ -5,15 +5,7 @@ import pytest
 from scipy import stats
 
 from dualmargin import NoiseSpec, TransitionMatrix, build_transition, corrupt_labels
-from dualmargin.noise import (
-    default_column_sinks,
-    load_transition_text,
-    save_transition_text,
-    transition_from_dict,
-    transition_from_text,
-    transition_to_dict,
-    transition_to_text,
-)
+from dualmargin.noise import default_column_sinks
 
 
 class TestColumn:
@@ -116,7 +108,7 @@ class TestRowStochastic:
 
     def test_invalid_rows_rejected_by_type(self):
         with pytest.raises(ValueError):
-            TransitionMatrix(probs=np.array([[0.5, 0.4], [0.0, 1.0]]), noise_rate=0.5)
+            TransitionMatrix(probs=np.array([[0.5, 0.4], [0.0, 1.0]]))
 
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
@@ -172,33 +164,3 @@ class TestCorruption:
         t = build_transition(NoiseSpec("column", 0.6), 10)
         with pytest.raises(ValueError):
             corrupt_labels([10], t, seed=0)
-
-
-class TestSerialization:
-    def test_text_round_trip(self, tmp_path):
-        t = build_transition(NoiseSpec("asymmetric_pairs", 0.45, pairs=[(0, 1)]), 3)
-        path = tmp_path / "t.txt"
-        save_transition_text(t, path)
-        loaded = load_transition_text(path)
-        np.testing.assert_array_equal(loaded.probs, t.probs)
-        assert loaded.noise_rate == pytest.approx(0.45, abs=1e-15)
-
-    def test_dict_round_trip(self):
-        t = build_transition(NoiseSpec("column", 0.6, sinks=(1, 2)), 4)
-        doc = transition_to_dict(t)
-        loaded = transition_from_dict(doc)
-        np.testing.assert_array_equal(loaded.probs, t.probs)
-        assert loaded.noise_rate == t.noise_rate
-
-    def test_text_is_exact(self):
-        t = build_transition(NoiseSpec("column", 0.6, sinks=(3, 5)), 10)
-        round_tripped = transition_from_text(transition_to_text(t))
-        np.testing.assert_array_equal(round_tripped.probs, t.probs)
-
-    def test_malformed_text_names_row(self):
-        with pytest.raises(ValueError, match="row 1"):
-            transition_from_text("1.0 0.0\n0.0 x\n")
-
-    def test_non_stochastic_text_rejected(self):
-        with pytest.raises(ValueError):
-            transition_from_text("0.5 0.4\n0.0 1.0\n")

@@ -87,6 +87,15 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train(data, None, cfg)
 
+    def test_divergence_on_the_last_step_raises(self):
+        # one step whose update overflows the weights; no later step sees it
+        data = make_gaussian_mixture(4, dim=3, n_per_class=10, class_separation=4.0, seed=0)
+        cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=64, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError, match="weights"):
+                train(data, None, cfg)
+
     def test_dual_margin_requires_q(self):
         data, _ = separable_mixture()
         cfg = TrainConfig(
