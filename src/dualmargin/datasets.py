@@ -136,6 +136,30 @@ def make_ring(
     return LabeledDataset(features=features, clean_labels=labels, class_count=class_count)
 
 
+# bytes of one block of the (rows, C, dim) difference tensor
+_BLOCK_BYTES = 8 << 20
+
+
+def _min_pairwise_distance(means: np.ndarray) -> np.float64:
+    """Smallest distance between two distinct rows, taken block by block.
+
+    Each block's squared distances are the reduction ``np.linalg.norm``
+    makes over the last axis, and ``sqrt`` is monotone and correctly
+    rounded, so one ``sqrt`` of the minimum equals the minimum norm.
+    """
+    count, dim = means.shape
+    rows = max(1, _BLOCK_BYTES // (count * dim * means.itemsize))
+    best = np.inf
+    for lo in range(0, count, rows):
+        block = means[lo : lo + rows, None, :] - means[None, :, :]
+        block *= block
+        sq = np.add.reduce(block, axis=2)
+        k = np.arange(sq.shape[0])
+        sq[k, lo + k] = np.inf
+        best = min(best, sq.min())
+    return np.sqrt(best)
+
+
 def make_gaussian_mixture(
     class_count: int,
     dim: int = MIXTURE_DEFAULTS["dim"],
@@ -152,6 +176,11 @@ def make_gaussian_mixture(
     ``class_separation``.  The means derive from ``means_seed`` (defaults
     to ``seed``); pass the same ``means_seed`` with different ``seed``
     values to draw train/test splits of one fixed mixture.
+
+    The minimum distance is found in row blocks of about 8 MB, and the
+    arrays are byte-identical to those of the one-shot form,
+    ``np.linalg.norm(means[:, None] - means[None], axis=2)`` minimised
+    off the diagonal, which holds a (C, C, dim) difference tensor.
     """
     if class_count < 1 or dim < 1:
         raise ValueError("class_count and dim must be >= 1")
@@ -165,10 +194,7 @@ def make_gaussian_mixture(
         means = means_rng.normal(size=(class_count, dim))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
     if class_count > 1 and class_separation > 0:
-        diffs = means[:, None, :] - means[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        min_dist = dists[~np.eye(class_count, dtype=bool)].min()
-        means = means * (class_separation / min_dist)
+        means = means * (class_separation / _min_pairwise_distance(means))
     elif class_separation == 0:
         means = np.zeros_like(means)
     labels = np.repeat(np.arange(class_count), n_per_class)

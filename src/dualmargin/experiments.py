@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,11 @@ def validate_config(cfg: dict) -> dict:
     unknown = sorted(set(cfg["train"]) - set(_BASE_TRAIN))
     if unknown:
         raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
+    for key, value in cfg["train"].items():
+        # a value has its default's type; an int is also a float, a bool is no number
+        expected = type(_BASE_TRAIN[key])
+        if isinstance(value, bool) or not isinstance(value, (int, float) if expected is float else expected):
+            raise ValueError(f"train.{key} must be of type {expected.__name__}, got {value!r}")
     # building these raises ValueError on bad values
     TrainConfig(seed=0, **cfg["train"])
     if "noise" in sections:
@@ -278,8 +284,79 @@ def _write_metrics_csv(out_dir: Path, rows: list[dict]) -> None:
     atomic_write_text(out_dir / "metrics.csv", buf.getvalue())
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_chunks(value, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``pad`` is its line break and indent.
+
+    Types are checked in the order of the stdlib encoder, so a bool is
+    never written as an int and a float subclass is written as a float.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        out.append("[" + inner)
+        if all(type(item) is int for item in value):  # confusion-matrix rows
+            out.append(("," + inner).join(map(int.__repr__, value)))
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    out.append("," + inner)
+                _json_chunks(item, inner, out)
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = pad + "  "
+        out.append("{" + inner)
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if i:
+                out.append("," + inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, out)
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+
+    The bytes are identical to that call's for any payload of str-keyed
+    dicts, lists, tuples, str, int, float, bool and None (non-str keys
+    raise TypeError); the stdlib encoder formats an indented dump in pure
+    Python, one call per item, which is slow for C x C confusion matrices.
+    """
+    out: list[str] = []
+    _json_chunks(payload, "\n", out)
+    out.append("\n")
+    atomic_write_text(path, "".join(out))
 
 
 def _report_payload(report) -> dict:
@@ -454,16 +531,20 @@ def run_sweep(cfg: dict) -> dict:
     seeds = cfg["seeds"]
     splits = {seed: _noisy_mixture_split(cfg, seed, transition) for seed in seeds}
 
+    failures: list[dict] = []
     ce_accs = []
     for seed in seeds:
         noisy_ds, test_ds = splits[seed]
-        _, report = train(noisy_ds, None, _train_config(cfg, seed, "cross_entropy"), test_data=test_ds)
+        try:
+            _, report = train(noisy_ds, None, _train_config(cfg, seed, "cross_entropy"), test_data=test_ds)
+        except TrainingDivergedError as exc:
+            failures.append({"method": "ce", "seed": seed, "error": str(exc)})
+            continue
         ce_accs.append(report.clean_test_accuracy)
-    ce_mean = float(np.mean(ce_accs))
-    print(f"[sweep] ce baseline acc={ce_mean:.4f}")
+    ce_mean = float(np.mean(ce_accs)) if ce_accs else None
+    print(f"[sweep] ce baseline acc={ce_mean:.4f}" if ce_accs else "[sweep] ce baseline failed on every seed")
 
     grid = np.full((len(alphas), len(betas)), np.nan)
-    failures: list[dict] = []
     rows: list[dict] = []
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
@@ -495,16 +576,17 @@ def run_sweep(cfg: dict) -> dict:
                         "accuracy": grid[i, j],
                     }
                 )
-    rows.append(
-        {
-            "experiment": "sweep",
-            "seed": seeds[0] if len(seeds) == 1 else -1,
-            "method": "ce",
-            "alpha": 1.0,
-            "beta": 0.0,
-            "accuracy": ce_mean,
-        }
-    )
+    if ce_accs:
+        rows.append(
+            {
+                "experiment": "sweep",
+                "seed": seeds[0] if len(seeds) == 1 else -1,
+                "method": "ce",
+                "alpha": 1.0,
+                "beta": 0.0,
+                "accuracy": ce_mean,
+            }
+        )
 
     out_dir = Path(cfg["output_dir"])
     heat_lines = [" ".join(repr(float(v)) for v in row) for row in grid]

@@ -163,9 +163,10 @@ class LossBreakdown:
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)  # the one full-size allocation
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def loss_from_probs(p, pset: PlausibleSet, params: LossParams) -> float:

@@ -175,7 +175,11 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
     u = rng.random(clean.size)
     cdf = np.cumsum(transition.probs, axis=1)
     out = np.empty_like(clean)
-    for i, (c, ui) in enumerate(zip(clean, u)):
-        out[i] = np.searchsorted(cdf[c], ui, side="right")
+    # one searchsorted per clean class, over that class's positions
+    order = np.argsort(clean, kind="stable")
+    bounds = np.searchsorted(clean[order], np.arange(C + 1))
+    for c in np.flatnonzero(np.diff(bounds)):
+        group = order[bounds[c] : bounds[c + 1]]
+        out[group] = np.searchsorted(cdf[c], u[group], side="right")
     np.minimum(out, C - 1, out=out)
     return out

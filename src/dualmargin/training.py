@@ -133,10 +133,15 @@ def init_model(architecture: str, dim: int, class_count: int, hidden_units: int,
 
 
 def _forward(model: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    # the bias is added in place: at evaluation a logits array is (n, C)
+    out = X @ model.weights[0]
+    out += model.biases[0]
     if model.architecture == "linear":
-        return X @ model.weights[0] + model.biases[0], None
-    hidden = np.tanh(X @ model.weights[0] + model.biases[0])
-    return hidden @ model.weights[1] + model.biases[1], hidden
+        return out, None
+    hidden = np.tanh(out, out=out)
+    logits = hidden @ model.weights[1]
+    logits += model.biases[1]
+    return logits, hidden
 
 
 def predict_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -281,8 +286,15 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
         masks = sets_from_q(q, labels)
         idx = np.arange(labels.size)
         p_target = probs[idx, labels]
-        p_plausible = np.where(masks, probs, 0.0).sum(axis=1)
-        p_implausible = np.where(masks, 0.0, probs).sum(axis=1)
+        # the masked sums reuse spent (n, C) arrays: the logits, then probs.
+        # copyto keeps np.where's semantics; a product with the masks would
+        # spread NaN and inf
+        buf = logits
+        buf.fill(0.0)
+        np.copyto(buf, probs, where=masks)
+        p_plausible = buf.sum(axis=1)
+        np.copyto(probs, 0.0, where=masks)
+        p_implausible = probs.sum(axis=1)
         mean_mass = {
             "p_target": float(p_target.mean()),
             "p_plausible": float(p_plausible.mean()),

@@ -2,14 +2,17 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualmargin import LossParams, PlausibleSet, loss_from_logits, sets_from_q, training
+from dualmargin import LossParams, PlausibleSet, experiments, loss_from_logits, sets_from_q, training
 from dualmargin.cli import main
 from dualmargin.plausibility import q_ordinal
 
@@ -295,6 +298,35 @@ class TestExperimentCommands:
         assert key in err
         assert not (tmp_path / "o").exists()
 
+    def test_train_value_of_wrong_type_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"epochs": "3"}})
+        code, _, err = run_cli(["toy2d", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert "epochs" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_records_a_diverged_ce_baseline(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seeds": [0],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 2, "learning_rate": 1e308},
+                "sweep": {"alpha_values": [0.1], "beta_values": [1.0]},
+            },
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["sweep", "--config", cfg, "--out", out_dir], capsys)
+        assert code == 0
+        assert (out_dir / "heatmap.txt").exists()
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["ce_baseline"] is None
+        ce_failures = [f for f in report["failures"] if f.get("method") == "ce"]
+        assert [set(f) for f in ce_failures] == [{"method", "seed", "error"}]
+        with open(out_dir / "metrics.csv", newline="") as fh:
+            assert all(row["method"] != "ce" for row in csv.DictReader(fh))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "command,dataset,lr",
@@ -319,6 +351,78 @@ class TestExperimentCommands:
         assert len(rows) + len(report["failures"]) == 2  # one seed, two methods
         failed = {f["method"] for f in report["failures"]}
         assert failed.isdisjoint(report["summary"])
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16])
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _JSON_FLOATS
+    | _JSON_FLOATS.map(np.float64)  # a float subclass
+    | st.text()  # non-ASCII and control characters included
+    | st.lists(st.integers() | st.booleans())  # bools inside int lists
+)
+_JSON_KEYS = st.text(max_size=8)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(_JSON_KEYS, inner, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @staticmethod
+    def dumps(payload) -> bytes:
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        experiments._write_json(path, payload)
+        assert path.read_bytes() == self.dumps(payload)
+
+    @pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 0}}, {"a": object()}, [{"b": b"x"}]])
+    def test_unsupported_payload_raises_type_error(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            experiments._write_json(tmp_path / "x.json", payload)
+
+    def test_real_reports_equal_json_dumps(self, tmp_path, capsys, monkeypatch):
+        written = []
+        real_write_json = experiments._write_json
+
+        def recording_write_json(path, payload):
+            real_write_json(path, payload)
+            written.append((Path(path), payload))
+
+        monkeypatch.setattr(experiments, "_write_json", recording_write_json)
+        tiny = {
+            "toy2d": TINY_TOY2D,
+            "mil-toy": {"seeds": [0], "dataset": {"n_bags": 8, "bag_size": 10}, "train": {"epochs": 3}},
+            "noise-recovery": {
+                "seeds": [0, 1],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 2},
+            },
+            "sweep": {
+                "seeds": [0],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 1},
+                "sweep": {"alpha_values": [0.0, 1.0], "beta_values": [0.0]},  # a null grid cell
+            },
+        }
+        for command, doc in tiny.items():
+            cfg = write_config(tmp_path, doc)
+            code, _, _ = run_cli([command, "--config", cfg, "--out", tmp_path / command], capsys)
+            assert code == 0
+        assert len(written) == 2 * len(tiny)  # report.json and manifest.json per family
+        for path, payload in written:
+            assert path.read_bytes() == self.dumps(payload), path
 
 
 # run in a fresh interpreter: perfbench/child.py wraps module attributes

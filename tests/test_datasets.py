@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from dualmargin import (
     LossParams,
+    datasets,
     TrainConfig,
     make_gaussian_mixture,
     make_mil_bags,
@@ -91,6 +92,48 @@ class TestGaussianMixture:
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=2)
         min_dist = dists[~np.eye(C, dtype=bool)].min()
         assert abs(min_dist - sep) < 0.25  # sample noise on the empirical means
+
+
+def one_shot_mixture(C, d, n, sep, seed, means_seed=None):
+    """The mixture features as made with the whole (C, C, d) difference tensor."""
+    means_rng = np.random.default_rng(seed if means_seed is None else means_seed)
+    rng = np.random.default_rng(seed)
+    if C <= d:
+        directions, _ = np.linalg.qr(means_rng.normal(size=(d, C)))
+        means = directions.T
+    else:
+        means = means_rng.normal(size=(C, d))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+    if C > 1 and sep > 0:
+        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+        means = means * (sep / dists[~np.eye(C, dtype=bool)].min())
+    elif sep == 0:
+        means = np.zeros_like(means)
+    labels = np.repeat(np.arange(C), n)
+    return means[labels] + rng.normal(size=(labels.size, d))
+
+
+class TestMixtureBlockedDistances:
+    @pytest.mark.parametrize(
+        "C,d,sep",
+        [
+            (6, 10, 4.0),  # C <= d: QR directions
+            (10, 10, 16.0),
+            (45, 3, 4.0),  # C > d: normalised draws
+            (200, 16, 16.0),
+            (1, 4, 4.0),
+            (5, 8, 0.0),
+            (40, 2, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    def test_bytes_equal_one_shot_formula(self, monkeypatch, C, d, sep, block_rows):
+        if block_rows is not None:  # blocks of that many rows; the last one may be short
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_rows * C * d * 8)
+        for seed, means_seed in ((3, None), (4, 3)):
+            ds = make_gaussian_mixture(C, dim=d, n_per_class=3, class_separation=sep, seed=seed, means_seed=means_seed)
+            expected = one_shot_mixture(C, d, 3, sep, seed, means_seed)
+            assert ds.features.tobytes() == expected.tobytes()
 
 
 class TestOrdinalLine:

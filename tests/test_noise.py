@@ -160,6 +160,29 @@ class TestCorruption:
             assert chi2 < stats.chi2.ppf(0.9999, dof)
             assert observed[~support].sum() == 0  # never leaves the support
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NoiseSpec("column", 0.6),
+            NoiseSpec("asymmetric_pairs", 0.4, pairs=[(0, 1), (3, 2), (7, 0)]),
+            NoiseSpec("cyclic_superclass", 0.3, group_size=4),
+            NoiseSpec("block_superclass", 0.6, group_size=4),
+        ],
+        ids=lambda spec: spec.topology,
+    )
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_matches_scalar_loop_oracle(self, spec, n):
+        t = build_transition(spec, 12)
+        labels = np.random.default_rng(n).integers(0, 12, size=n)
+        labels[labels == 11] = 10  # one class that never occurs
+        # oracle: the inverse-CDF draw one label at a time
+        u = np.random.default_rng(9).random(n)
+        cdf = np.cumsum(t.probs, axis=1)
+        expected = np.array([min(np.searchsorted(cdf[c], ui, side="right"), 11) for c, ui in zip(labels, u)], dtype=int)
+        out = corrupt_labels(labels, t, seed=9)
+        assert out.dtype == expected.dtype and out.shape == (n,)
+        np.testing.assert_array_equal(out, expected)
+
     def test_out_of_range_labels_rejected(self):
         t = build_transition(NoiseSpec("column", 0.6), 10)
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from dualmargin import (
     train,
     train_mil_instances,
 )
-from dualmargin.loss import batch_loss
+from dualmargin.loss import batch_loss, sets_from_q
 from dualmargin.training import _backward, _forward, init_model
 
 
@@ -194,6 +194,50 @@ class TestEvaluate:
         mm = report.mean_mass
         assert mm["p_target"] <= mm["p_plausible"] + 1e-12
         assert mm["p_plausible"] + mm["p_implausible"] == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def where_formula(model, data, q):
+        """Accuracy, confusion and masses as computed with np.where temporaries."""
+        X = data.features
+        if model.architecture == "linear":
+            logits = X @ model.weights[0] + model.biases[0]
+        else:
+            hidden = np.tanh(X @ model.weights[0] + model.biases[0])
+            logits = hidden @ model.weights[1] + model.biases[1]
+        preds = np.argmax(logits, axis=1)
+        labels = data.clean_labels
+        confusion = np.zeros((data.class_count, data.class_count), dtype=int)
+        np.add.at(confusion, (labels, preds), 1)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
+        masks = sets_from_q(q, labels)
+        masses = [
+            probs[np.arange(labels.size), labels].mean(),
+            np.where(masks, probs, 0.0).sum(axis=1).mean(),
+            np.where(masks, 0.0, probs).sum(axis=1).mean(),
+        ]
+        return float((preds == labels).mean()), confusion, np.array(masses)
+
+    @pytest.mark.parametrize("kind", ["trained", "mlp1", "overflowing"])
+    def test_matches_where_formula_bit_for_bit(self, kind):
+        data, test = separable_mixture()
+        q = q_hierarchy([0, 0, 1, 1])
+        if kind == "trained":
+            model, _ = train(data, None, TrainConfig(learning_rate=0.1, epochs=3, batch_size=64, seed=2))
+        else:
+            model = init_model(kind if kind == "mlp1" else "linear", data.dim, 4, 8, np.random.default_rng(3))
+        if kind == "overflowing":  # logits of +-inf, so softmax gives NaN rows
+            model.weights[0] = np.sign(model.weights[0]) * 1e308
+        with np.errstate(all="ignore"):
+            report = evaluate(model, test, q=q)
+            accuracy, confusion, masses = self.where_formula(model, test, q)
+        assert report.clean_test_accuracy == accuracy
+        np.testing.assert_array_equal(report.confusion_matrix, confusion)
+        got = np.array([report.mean_mass[k] for k in ("p_target", "p_plausible", "p_implausible")])
+        assert got.tobytes() == masses.tobytes()
+        if kind == "overflowing":
+            assert np.isnan(masses).all()
 
     def test_diagonal_mass_of_identity_confusion(self):
         assert diagonal_mass(np.diag([5, 3, 2])) == pytest.approx(3.0)
