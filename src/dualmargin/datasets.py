@@ -10,6 +10,7 @@ reproduces the same arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,28 @@ def _min_pairwise_distance(means: np.ndarray) -> np.float64:
     return np.sqrt(best)
 
 
+@functools.lru_cache(maxsize=4)
+def _mixture_means(class_count: int, dim: int, class_separation: float, means_seed: int) -> np.ndarray:
+    """The class means of :func:`make_gaussian_mixture`, read-only.
+
+    Cached, since the train and test splits of one mixture share them.
+    """
+    means_rng = np.random.default_rng(means_seed)
+    if class_count <= dim:
+        raw = means_rng.normal(size=(dim, class_count))
+        directions, _ = np.linalg.qr(raw)
+        means = directions.T
+    else:
+        means = means_rng.normal(size=(class_count, dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+    if class_count > 1 and class_separation > 0:
+        means = means * (class_separation / _min_pairwise_distance(means))
+    elif class_separation == 0:
+        means = np.zeros_like(means)
+    means.setflags(write=False)
+    return means
+
+
 def make_gaussian_mixture(
     class_count: int,
     dim: int = MIXTURE_DEFAULTS["dim"],
@@ -184,19 +207,8 @@ def make_gaussian_mixture(
     """
     if class_count < 1 or dim < 1:
         raise ValueError("class_count and dim must be >= 1")
-    means_rng = np.random.default_rng(seed if means_seed is None else means_seed)
+    means = _mixture_means(class_count, dim, class_separation, seed if means_seed is None else means_seed)
     rng = np.random.default_rng(seed)
-    if class_count <= dim:
-        raw = means_rng.normal(size=(dim, class_count))
-        directions, _ = np.linalg.qr(raw)
-        means = directions.T
-    else:
-        means = means_rng.normal(size=(class_count, dim))
-        means /= np.linalg.norm(means, axis=1, keepdims=True)
-    if class_count > 1 and class_separation > 0:
-        means = means * (class_separation / _min_pairwise_distance(means))
-    elif class_separation == 0:
-        means = np.zeros_like(means)
     labels = np.repeat(np.arange(class_count), n_per_class)
     features = means[labels] + rng.normal(size=(labels.size, dim))
     return LabeledDataset(features=features, clean_labels=labels, class_count=class_count)

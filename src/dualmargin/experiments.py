@@ -206,11 +206,11 @@ def validate_config(cfg: dict) -> dict:
     unknown = sorted(set(cfg["train"]) - set(_BASE_TRAIN))
     if unknown:
         raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
-    for key, value in cfg["train"].items():
-        # a value has its default's type; an int is also a float, a bool is no number
-        expected = type(_BASE_TRAIN[key])
-        if isinstance(value, bool) or not isinstance(value, (int, float) if expected is float else expected):
-            raise ValueError(f"train.{key} must be of type {expected.__name__}, got {value!r}")
+    for section in sections:
+        defaults = _DEFAULTS[experiment][section]
+        for key, value in cfg[section].items():
+            if key in defaults:
+                _check_type(f"{section}.{key}", value, type(defaults[key]))
     # building these raises ValueError on bad values
     TrainConfig(seed=0, **cfg["train"])
     if "noise" in sections:
@@ -224,9 +224,17 @@ def validate_config(cfg: dict) -> dict:
         for name, values in (("alpha_values", alphas), ("beta_values", betas)):
             if not isinstance(values, list) or not values:
                 raise ValueError(f"sweep.{name} must be a nonempty list")
+            for value in values:
+                _check_type(f"sweep.{name} element", value, float)
             if any(v < 0 for v in values):
                 raise ValueError(f"sweep.{name} must be non-negative")
     return cfg
+
+
+def _check_type(where: str, value, expected: type) -> None:
+    """A config value has its default's type; an int is also a float, a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if expected is float else expected):
+        raise ValueError(f"{where} must be of type {expected.__name__}, got {value!r}")
 
 
 def config_hash(cfg: dict) -> str:

@@ -219,19 +219,26 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     log_beta = _log_or_neg_inf(beta)
     z_t = Z[rows, targets]
 
-    in_p = np.where(set_masks, Z, -np.inf)
-    in_p[rows, targets] = -np.inf
-    max_p = in_p.max(axis=1)
-    max_n = np.where(set_masks, -np.inf, Z).max(axis=1)
-    e = np.where(set_masks, max_p[:, None], max_n[:, None])  # each entry's cell max
-    np.subtract(Z, e, out=e)
+    # one work array holds P's values, then N's, then each entry's cell max,
+    # then S's 0/1 mask; the masked copies keep np.where's exact values.  They
+    # are cheap on the row-structured masks of the Q builders, dearer than
+    # np.where on unstructured ones
+    work = np.where(set_masks, Z, -np.inf)
+    work[rows, targets] = -np.inf
+    max_p = work.max(axis=1)
+    np.copyto(work, Z)
+    np.copyto(work, -np.inf, where=set_masks)
+    max_n = work.max(axis=1)
+    np.copyto(work, max_n[:, None])
+    np.copyto(work, max_p[:, None], where=set_masks)
+    e = np.subtract(Z, work)
     e[rows, targets] = -np.inf
     np.exp(e, out=e)
     # each cell sum is a row dot product with the cell's 0/1 mask; e is 0 at
     # the target, so S's mask sums P, and 1 - mask is N's
-    mask = set_masks.astype(np.float64)
-    lse_p = _cell_lse(max_p, np.einsum("ij,ij->i", e, mask))
-    lse_n = _cell_lse(max_n, np.einsum("ij,ij->i", e, np.subtract(1.0, mask, out=mask)))
+    np.copyto(work, set_masks)
+    lse_p = _cell_lse(max_p, np.einsum("ij,ij->i", e, work))
+    lse_n = _cell_lse(max_n, np.einsum("ij,ij->i", e, np.subtract(1.0, work, out=work)))
 
     lse_s = np.logaddexp(z_t, lse_p)
     lse_nt = np.logaddexp(lse_p, lse_n)
@@ -259,10 +266,14 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     log_b = term_b - losses - lse_s
     coef_p = np.exp(log_a + max_p) - np.exp(log_b + max_p)
     coef_n = np.exp(log_a + max_n) + np.exp(log_beta - lse_s - losses + max_n)
-    grad = np.where(set_masks, coef_p[:, None], coef_n[:, None])
-    grad *= e
-    grad[rows, targets] = -np.exp(term_a - losses) - np.exp(log_b + z_t)
-    return losses, grad, terms
+    # the gradient is built in e; each entry takes its own cell's coefficient
+    # (coef_p + mask * (coef_n - coef_p) would round coef_n away when it is
+    # far below coef_p)
+    np.copyto(work, coef_n[:, None])
+    np.copyto(work, coef_p[:, None], where=set_masks)
+    e *= work
+    e[rows, targets] = -np.exp(term_a - losses) - np.exp(log_b + z_t)
+    return losses, e, terms
 
 
 def _row_inputs(z, pset: PlausibleSet):
@@ -314,7 +325,9 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
         raise ValueError("targets must be 1-D")
     if targets.size and (targets.min() < 0 or targets.max() >= C):
         raise ValueError(f"targets out of range [0, {C})")
-    masks = q.T[targets]  # fancy indexing copies only the B selected columns
+    # fancy indexing copies only the B selected columns; they are contiguous
+    # rows of q.T when Q is in Fortran order
+    masks = q.T[targets]
     masks[np.arange(targets.size), targets] = True
     return masks
 

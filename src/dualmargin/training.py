@@ -150,15 +150,21 @@ def predict_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
 
 
 def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its logit gradient (softmax minus one-hot)."""
+    """Mean cross-entropy and its logit gradient (softmax minus one-hot).
+
+    One (B, C) array holds the shifted logits, then their exp, then the
+    gradient.
+    """
     B = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
     idx = np.arange(B)
-    loss = float((log_norm - shifted[idx, targets]).mean())
-    grad = np.exp(shifted - log_norm[:, None])
-    grad[idx, targets] -= 1.0
-    return loss, grad / B
+    grad = logits - logits.max(axis=1, keepdims=True)
+    z_t = grad[idx, targets]
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=1)
+    loss = float((np.log(total) - z_t).mean())
+    grad /= (total * B)[:, None]
+    grad[idx, targets] -= 1.0 / B
+    return loss, grad
 
 
 def _backward(model: ModelParams, X: np.ndarray, hidden: np.ndarray | None, grad_logits: np.ndarray):
@@ -204,7 +210,8 @@ def train(
         raise ValueError("dataset is empty")
     C = data.class_count
     if q is not None:
-        q = np.asarray(q, dtype=bool)
+        # sets_from_q gathers columns of Q: Fortran order makes them contiguous
+        q = np.asfortranarray(q, dtype=bool)
         if q.shape != (C, C):
             raise ValueError(f"Q shape {q.shape} does not match class count {C}")
     if cfg.loss == "dual_margin":
@@ -263,6 +270,10 @@ def train(
     return model, report
 
 
+# bytes of one block of evaluate's logits
+_EVAL_BLOCK_BYTES = 8 << 20
+
+
 def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> ExperimentReport:
     """Accuracy, confusion matrix, and probability-mass diagnostics.
 
@@ -271,35 +282,48 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     class) against the clean labels.  When ``q`` is given, the mean masses
     of the exact label, its plausible set, and the complement are computed
     w.r.t. the clean labels.
+
+    Rows are scored in blocks of about 8 MB of logits, of equal height.
+    Every per-row result depends only on that row's logits, and each mean
+    is taken once over all rows, so the report equals that of one pass
+    over the whole set bit for bit whenever the matrix product gives each
+    block the rows it gives the whole set (BLAS may round a product of a
+    few rows differently; equal blocks keep them large).
     """
-    logits = predict_logits(model, data.features)
-    preds = np.argmax(logits, axis=1)
+    X = data.features
     labels = data.clean_labels
     C = data.class_count
-    confusion = np.zeros((C, C), dtype=int)
-    np.add.at(confusion, (labels, preds), 1)
-    accuracy = float((preds == labels).mean()) if labels.size else 0.0
-
-    mean_mass = None
-    if q is not None:
+    n = labels.size
+    blocks = -(-n * C * 8 // _EVAL_BLOCK_BYTES)
+    height = -(-n // blocks) if n else 1
+    preds = np.empty(n, dtype=np.intp)
+    masses = None if q is None else np.empty((3, n))
+    for lo in range(0, n, height):
+        block = slice(lo, lo + height)
+        logits = predict_logits(model, X[block])
+        preds[block] = np.argmax(logits, axis=1)
+        if masses is None:
+            continue
+        block_labels = labels[block]
         probs = softmax(logits, axis=1)
-        masks = sets_from_q(q, labels)
-        idx = np.arange(labels.size)
-        p_target = probs[idx, labels]
-        # the masked sums reuse spent (n, C) arrays: the logits, then probs.
+        masks = sets_from_q(q, block_labels)
+        masses[0, block] = probs[np.arange(block_labels.size), block_labels]
+        # the masked sums reuse spent arrays: the logits, then probs.
         # copyto keeps np.where's semantics; a product with the masks would
         # spread NaN and inf
-        buf = logits
-        buf.fill(0.0)
-        np.copyto(buf, probs, where=masks)
-        p_plausible = buf.sum(axis=1)
+        logits.fill(0.0)
+        np.copyto(logits, probs, where=masks)
+        masses[1, block] = logits.sum(axis=1)
         np.copyto(probs, 0.0, where=masks)
-        p_implausible = probs.sum(axis=1)
-        mean_mass = {
-            "p_target": float(p_target.mean()),
-            "p_plausible": float(p_plausible.mean()),
-            "p_implausible": float(p_implausible.mean()),
-        }
+        masses[2, block] = probs.sum(axis=1)
+
+    confusion = np.zeros((C, C), dtype=int)
+    np.add.at(confusion, (labels, preds), 1)
+    accuracy = float((preds == labels).mean()) if n else 0.0
+    mean_mass = None
+    if masses is not None:
+        keys = ("p_target", "p_plausible", "p_implausible")
+        mean_mass = {key: float(row.mean()) for key, row in zip(keys, masses)}
 
     return ExperimentReport(
         train_curve=[],

@@ -305,6 +305,25 @@ class TestExperimentCommands:
         assert "epochs" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("noise-recovery", {"dataset": {"class_count": "10"}}, "dataset.class_count"),
+            ("toy2d", {"loss": {"alpha": "1"}}, "loss.alpha"),
+            ("mil-toy", {"dataset": {"n_bags": 8.0}}, "dataset.n_bags"),
+            ("noise-recovery", {"noise": {"eta": True}}, "noise.eta"),
+            ("sweep", {"noise": {"topology": 3}}, "noise.topology"),
+            ("sweep", {"sweep": {"alpha_values": [0.1, "1"]}}, "sweep.alpha_values"),
+            ("sweep", {"sweep": {"beta_values": 1.0}}, "sweep.beta_values"),
+        ],
+    )
+    def test_section_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_records_a_diverged_ce_baseline(self, tmp_path, capsys):
         cfg = write_config(

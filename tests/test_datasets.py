@@ -128,12 +128,31 @@ class TestMixtureBlockedDistances:
     )
     @pytest.mark.parametrize("block_rows", [None, 1, 7])
     def test_bytes_equal_one_shot_formula(self, monkeypatch, C, d, sep, block_rows):
+        datasets._mixture_means.cache_clear()  # else an earlier case's means skip the blocks
         if block_rows is not None:  # blocks of that many rows; the last one may be short
             monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_rows * C * d * 8)
         for seed, means_seed in ((3, None), (4, 3)):
             ds = make_gaussian_mixture(C, dim=d, n_per_class=3, class_separation=sep, seed=seed, means_seed=means_seed)
             expected = one_shot_mixture(C, d, 3, sep, seed, means_seed)
             assert ds.features.tobytes() == expected.tobytes()
+
+
+class TestMixtureMeansCache:
+    def test_splits_of_one_mixture_compute_the_means_once(self, monkeypatch):
+        datasets._mixture_means.cache_clear()
+        calls = []
+        real = datasets._min_pairwise_distance
+        monkeypatch.setattr(datasets, "_min_pairwise_distance", lambda means: calls.append(1) or real(means))
+        train_ds = make_gaussian_mixture(30, dim=4, n_per_class=5, class_separation=4.0, seed=8, means_seed=8)
+        test_ds = make_gaussian_mixture(30, dim=4, n_per_class=2, class_separation=4.0, seed=9, means_seed=8)
+        assert len(calls) == 1
+        assert train_ds.features.tobytes() == one_shot_mixture(30, 4, 5, 4.0, 8, 8).tobytes()
+        assert test_ds.features.tobytes() == one_shot_mixture(30, 4, 2, 4.0, 9, 8).tobytes()
+
+    def test_cached_means_are_read_only(self):
+        means = datasets._mixture_means(12, 3, 4.0, 0)
+        with pytest.raises(ValueError):
+            means[0, 0] = 1.0
 
 
 class TestOrdinalLine:

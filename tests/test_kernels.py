@@ -1,0 +1,91 @@
+"""Precision tests for the two training kernels at their edges.
+
+The cross-entropy step (``training._ce_loss_and_grad``) is checked against
+a 50-digit log-softmax oracle and at extreme logits; the dual-margin
+kernel against 50-digit central finite differences on a row whose
+implausible cell sits so far below its plausible cell that the two cell
+coefficients differ by more than the float64 precision.
+"""
+
+import numpy as np
+import pytest
+
+from dualmargin import LossParams, batch_loss_and_grad
+from dualmargin.training import _ce_loss_and_grad
+
+mp = pytest.importorskip("mpmath")
+
+
+def ce_oracle(logits, targets):
+    """Mean -log softmax(z)_t and (softmax - onehot) / B at 50 digits."""
+    with mp.workdps(50):
+        B = len(targets)
+        losses, grads = [], []
+        for z, t in zip(logits, targets):
+            z = [mp.mpf(float(v)) for v in z]
+            total = mp.fsum(mp.exp(v) for v in z)
+            losses.append(mp.log(total) - z[t])
+            grads.append([(mp.exp(v) / total - (1 if c == t else 0)) / B for c, v in enumerate(z)])
+        return mp.fsum(losses) / B, grads
+
+
+class TestCrossEntropyStep:
+    def test_matches_a_50_digit_log_softmax_oracle(self):
+        # moderate logits keep p_t away from 1, where p_t - 1 cancels in any form
+        rng = np.random.default_rng(7)
+        logits = rng.normal(scale=2.0, size=(6, 9))
+        targets = rng.integers(0, 9, size=6)
+        loss, grad = _ce_loss_and_grad(logits, targets)
+        want_loss, want_grad = ce_oracle(logits, targets)
+        assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
+        for b in range(6):
+            for c in range(9):
+                assert abs(grad[b, c] - want_grad[b][c]) <= 1e-14 * abs(want_grad[b][c]), (b, c)
+
+    def test_does_not_modify_the_logits(self):
+        logits = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]])
+        before = logits.copy()
+        _ce_loss_and_grad(logits, np.array([0, 2]))
+        np.testing.assert_array_equal(logits, before)
+
+    @pytest.mark.parametrize("scale", [1e4, -1e4])
+    def test_extreme_logits_raise_no_floating_point_error(self, scale):
+        # exps far below a row's max must round to 0, so underflow is allowed
+        rng = np.random.default_rng(3)
+        logits = scale * rng.normal(size=(5, 12))
+        targets = rng.integers(0, 12, size=5)
+        with np.errstate(all="raise", under="ignore"):
+            loss, grad = _ce_loss_and_grad(logits, targets)
+        assert np.isfinite(loss) and loss >= 0.0
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+
+
+def dm_loss_oracle(z, t, plausible, alpha, beta):
+    """log(1 + alpha (1 - p_t) / p_t + beta (1 - p_S) / p_S) from the logits."""
+    e = [mp.exp(v) for v in z]
+    rest = mp.fsum(e[c] for c in range(len(z)) if c != t)
+    in_s = mp.fsum(e[c] for c in range(len(z)) if c in plausible)
+    out_s = mp.fsum(e[c] for c in range(len(z)) if c not in plausible)
+    return mp.log(1 + alpha * rest / e[t] + beta * out_s / in_s)
+
+
+class TestDualMarginFarImplausibleCell:
+    def test_gradient_matches_50_digit_finite_differences(self):
+        # N sits 60 below P, so the N coefficient is ~1e-20 of the P one
+        z = np.array([0.0, -1.0, -2.0, -60.0, -61.0, -65.0])
+        t, plausible = 0, {0, 1, 2}
+        alpha, beta = 0.01, 1e4
+        q = np.zeros((6, 6), dtype=bool)
+        q[list(plausible), t] = True
+        _, grad = batch_loss_and_grad(z[None, :], np.array([t]), q, LossParams(alpha, beta, reduction="sum"))
+        with mp.workdps(60):
+            h = mp.mpf("1e-25")
+            for c in range(6):
+                up = [mp.mpf(float(v)) for v in z]
+                down = list(up)
+                up[c] += h
+                down[c] -= h
+                fd = (dm_loss_oracle(up, t, plausible, alpha, beta) - dm_loss_oracle(down, t, plausible, alpha, beta)) / (2 * h)
+                assert abs(grad[0, c] - fd) <= 1e-12 * abs(fd), c
+        assert np.all(grad[0, 3:] > 0.0)  # N's gradient survives next to P's

@@ -1,5 +1,6 @@
 """Tests for the trainer: determinism, CE equivalence, backprop, metrics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from dualmargin import (
     train,
     train_mil_instances,
 )
+from dualmargin import training
 from dualmargin.loss import batch_loss, sets_from_q
 from dualmargin.training import _backward, _forward, init_model
 
@@ -155,6 +157,35 @@ class TestBackprop:
                     assert abs(fd - grad.ravel()[k]) < 1e-6 * max(1.0, abs(fd))
 
 
+class TestQLayout:
+    @pytest.mark.parametrize("loss", ["cross_entropy", "dual_margin"])
+    def test_c_and_fortran_ordered_q_give_identical_runs(self, monkeypatch, loss):
+        data, test = separable_mixture()
+        q = q_hierarchy([0, 0, 1, 1])
+        cfg = TrainConfig(
+            learning_rate=0.1, epochs=3, batch_size=64, seed=4, loss=loss, loss_params=LossParams(0.1, 10.0)
+        )
+        seen = []
+        real = training.batch_loss_and_grad
+
+        def recording(Z, targets, q_arg, params):
+            seen.append(q_arg.flags.f_contiguous)
+            return real(Z, targets, q_arg, params)
+
+        monkeypatch.setattr(training, "batch_loss_and_grad", recording)
+        (model_c, report_c), (model_f, report_f) = (
+            train(data, layout(q), cfg, test_data=test) for layout in (np.ascontiguousarray, np.asfortranarray)
+        )
+        for a, b in zip(model_c.weights + model_c.biases, model_f.weights + model_f.biases):
+            assert a.tobytes() == b.tobytes()
+        assert report_c.train_curve == report_f.train_curve
+        assert report_c.clean_test_accuracy == report_f.clean_test_accuracy
+        np.testing.assert_array_equal(report_c.confusion_matrix, report_f.confusion_matrix)
+        assert report_c.mean_mass == report_f.mean_mass
+        # the loss gathers Q's columns, so train hands it Q in Fortran order
+        assert all(seen) and len(seen) == (0 if loss == "cross_entropy" else 2 * 3 * 13)
+
+
 class TestEvaluate:
     def test_confusion_rows_sum_to_class_counts(self):
         data, test = separable_mixture()
@@ -238,6 +269,67 @@ class TestEvaluate:
         assert got.tobytes() == masses.tobytes()
         if kind == "overflowing":
             assert np.isnan(masses).all()
+
+    @staticmethod
+    def dyadic_case(n, C, d=8, seed=0):
+        """A linear model and data on a dyadic grid: every logit is an exact
+        sum, so no BLAS kernel choice or summation order can change it."""
+        rng = np.random.default_rng(seed)
+        model = ModelParams(
+            architecture="linear",
+            weights=[rng.integers(-8, 9, size=(d, C)) / 8.0],
+            biases=[rng.integers(-8, 9, size=C) / 16.0],
+        )
+        features = rng.integers(-16, 17, size=(n, d)) / 4.0
+        data = LabeledDataset(features=features, clean_labels=rng.integers(0, C, size=n), class_count=C)
+        return model, data
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    @pytest.mark.parametrize("n,C,block_rows", [(800, 4, 1), (800, 4, 7), (50, 30, 7), (3000, 1000, None)])
+    def test_blocks_match_one_pass_bit_for_bit(self, monkeypatch, n, C, block_rows, with_q):
+        # block heights 1 and 7 (800 = 114 * 7 + 2); by default 3000 x 1000
+        # logits are 3 blocks
+        if block_rows is not None:
+            monkeypatch.setattr(training, "_EVAL_BLOCK_BYTES", block_rows * C * 8)
+        model, data = self.dyadic_case(n, C)
+        q = q_hierarchy(np.arange(C) // 3) if with_q else None
+        report = evaluate(model, data, q=q)
+        accuracy, confusion, masses = self.where_formula(model, data, q if with_q else np.eye(C, dtype=bool))
+        assert report.clean_test_accuracy == accuracy
+        np.testing.assert_array_equal(report.confusion_matrix, confusion)
+        if with_q:
+            got = np.array([report.mean_mass[k] for k in ("p_target", "p_plausible", "p_implausible")])
+            assert got.tobytes() == masses.tobytes()
+        else:
+            assert report.mean_mass is None
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    def test_empty_split(self, with_q):
+        model, data = self.dyadic_case(0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no rows
+            report = evaluate(model, data, q=q_identity(5) if with_q else None)
+        assert report.clean_test_accuracy == 0.0
+        np.testing.assert_array_equal(report.confusion_matrix, np.zeros((5, 5), dtype=int))
+        if with_q:
+            assert all(np.isnan(v) for v in report.mean_mass.values())
+        else:
+            assert report.mean_mass is None
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # one pass would hold 160 MB (n, C) float arrays
+        n, C, d = 20000, 1000, 16
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(features=rng.normal(size=(n, d)), clean_labels=rng.integers(0, C, size=n), class_count=C)
+        model = init_model("linear", d, C, 8, rng)
+        q = q_hierarchy(np.arange(C) // 10)
+        tracemalloc.start()
+        try:
+            evaluate(model, data, q=q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (8 << 20)  # four blocks of 8 MB
 
     def test_diagonal_mass_of_identity_confusion(self):
         assert diagonal_mass(np.diag([5, 3, 2])) == pytest.approx(3.0)
