@@ -4,7 +4,10 @@ Every experiment is fully determined by its config dict plus seed list:
 datasets, corruption, initialization, and shuffling all derive from the
 seeds, so rerunning a command reproduces the metric files byte for byte.
 Wall-clock timings are therefore reported on stdout only, never in the
-artifacts.  All files are written atomically (temp file + rename).
+artifacts.  All files are written atomically (temp file + rename): a
+write that fails or is interrupted leaves no temp file and no partial
+file, and the JSON files are streamed to disk as they are serialised, so
+the text of a C x C report is never held in memory.
 
 Per output directory the runners emit:
 
@@ -27,8 +30,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -194,8 +200,8 @@ def validate_config(cfg: dict) -> dict:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ValueError("seeds must be a nonempty list of integers")
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
+        raise ValueError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
     if not cfg.get("output_dir"):
         raise ValueError("output_dir must be set")
     # the sections a family reads are the objects in its defaults
@@ -207,6 +213,7 @@ def validate_config(cfg: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
     for section in sections:
+        _check_finite(section, cfg[section])
         defaults = _DEFAULTS[experiment][section]
         for key, value in cfg[section].items():
             if key in defaults:
@@ -237,6 +244,18 @@ def _check_type(where: str, value, expected: type) -> None:
         raise ValueError(f"{where} must be of type {expected.__name__}, got {value!r}")
 
 
+def _check_finite(where: str, value) -> None:
+    """No float inside a config value is NaN or infinite (JSON configs may spell them)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{where}.{key}", item)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(where, item)
+
+
 def config_hash(cfg: dict) -> str:
     """Hash of the experiment a config describes; where it is written is not part of it."""
     experiment = {key: value for key, value in cfg.items() if key != "output_dir"}
@@ -265,14 +284,28 @@ def _noise_spec(doc: dict) -> NoiseSpec:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via temp file + rename so interrupted runs leave no partial file."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write ``text`` to ``path`` via a temp file + rename.
+
+    ``text`` is a str, or an iterable of str that is written piece by
+    piece as it is produced.  On any exception, including one raised by
+    ``text`` while it is consumed, the temp file is removed and the error
+    re-raised: ``path`` keeps what it held before and interrupted runs
+    leave no partial file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value) -> str:
@@ -302,53 +335,53 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_chunks(value, pad: str, out: list[str]) -> None:
-    """Append the JSON text of ``value`` to ``out``; ``pad`` is its line break and indent.
+def _json_chunks(value, pad: str):
+    """Yield the JSON text of ``value`` piece by piece; ``pad`` is its line break and indent.
 
     Types are checked in the order of the stdlib encoder, so a bool is
     never written as an int and a float subclass is written as a float.
     """
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        yield encode_basestring_ascii(value)
     elif value is None:
-        out.append("null")
+        yield "null"
     elif value is True:
-        out.append("true")
+        yield "true"
     elif value is False:
-        out.append("false")
+        yield "false"
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        yield int.__repr__(value)
     elif isinstance(value, float):
-        out.append(_json_float(value))
+        yield _json_float(value)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            yield "[]"
             return
         inner = pad + "  "
-        out.append("[" + inner)
         if all(type(item) is int for item in value):  # confusion-matrix rows
-            out.append(("," + inner).join(map(int.__repr__, value)))
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    out.append("," + inner)
-                _json_chunks(item, inner, out)
-        out.append(pad + "]")
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+            return
+        yield "[" + inner
+        for i, item in enumerate(value):
+            if i:
+                yield "," + inner
+            yield from _json_chunks(item, inner)
+        yield pad + "]"
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield "{}"
             return
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = pad + "  "
-        out.append("{" + inner)
+        yield "{" + inner
         for i, (key, item) in enumerate(sorted(value.items())):
             if i:
-                out.append("," + inner)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, inner, out)
-        out.append(pad + "}")
+                yield "," + inner
+            yield encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner)
+        yield pad + "}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -360,11 +393,12 @@ def _write_json(path, payload) -> None:
     dicts, lists, tuples, str, int, float, bool and None (non-str keys
     raise TypeError); the stdlib encoder formats an indented dump in pure
     Python, one call per item, which is slow for C x C confusion matrices.
+    The text is streamed to the file as it is produced, so no copy of the
+    whole document is held in memory.  A value that cannot be written
+    raises partway through; the temp file is then removed and ``path``
+    keeps what it held before.
     """
-    out: list[str] = []
-    _json_chunks(payload, "\n", out)
-    out.append("\n")
-    atomic_write_text(path, "".join(out))
+    atomic_write_text(path, itertools.chain(_json_chunks(payload, "\n"), ("\n",)))
 
 
 def _report_payload(report) -> dict:

@@ -271,7 +271,7 @@ def train(
 
 
 # bytes of one block of evaluate's logits
-_EVAL_BLOCK_BYTES = 8 << 20
+_EVAL_BLOCK_BYTES = 2 << 20
 
 
 def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> ExperimentReport:
@@ -283,7 +283,7 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     of the exact label, its plausible set, and the complement are computed
     w.r.t. the clean labels.
 
-    Rows are scored in blocks of about 8 MB of logits, of equal height.
+    Rows are scored in blocks of about 2 MB of logits, of equal height.
     Every per-row result depends only on that row's logits, and each mean
     is taken once over all rows, so the report equals that of one pass
     over the whole set bit for bit whenever the matrix product gives each
@@ -339,8 +339,9 @@ def diagonal_mass(confusion) -> float:
     A scalar proxy for how near-diagonal the prediction structure is;
     equals the sum of per-class recalls.  Empty rows contribute 0.
     """
-    confusion = np.asarray(confusion, dtype=np.float64)
-    row_sums = confusion.sum(axis=1)
+    confusion = np.asarray(confusion)
+    # row sums of exact counts, without a float copy of the matrix
+    row_sums = confusion.sum(axis=1, dtype=np.float64)
     safe = np.where(row_sums > 0, row_sums, 1.0)
     return float((np.diag(confusion) / safe).sum())
 

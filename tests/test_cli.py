@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,26 @@ class TestExperimentCommands:
         assert key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("toy2d", {"seeds": [True]}, "seeds"),
+            ("toy2d", {"seeds": [0, -1]}, "seeds"),
+            ("toy2d", {"train": {"learning_rate": math.nan}}, "train.learning_rate"),
+            ("noise-recovery", {"train": {"learning_rate": math.inf}}, "train.learning_rate"),
+            ("toy2d", {"loss": {"beta": -math.inf}}, "loss.beta"),
+            ("mil-toy", {"dataset": {"separation": math.nan}}, "dataset.separation"),
+            ("noise-recovery", {"noise": {"eta": math.inf}}, "noise.eta"),
+            ("sweep", {"sweep": {"alpha_values": [0.1, math.nan]}}, "sweep.alpha_values"),
+        ],
+    )
+    def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)  # json.dumps spells NaN and Infinity
+        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_records_a_diverged_ce_baseline(self, tmp_path, capsys):
         cfg = write_config(
@@ -410,6 +431,38 @@ class TestReportWriter:
     def test_unsupported_payload_raises_type_error(self, tmp_path, payload):
         with pytest.raises(TypeError):
             experiments._write_json(tmp_path / "x.json", payload)
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        experiments._write_json(path, {"ok": 1})
+        before = path.read_bytes()
+        # sorted keys put the long list first, so text reaches the temp file
+        # before the bad value is met
+        with pytest.raises(TypeError):
+            experiments._write_json(path, {"a": list(range(100_000)), "b": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path):
+        def interrupted():
+            yield "partial"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            experiments.atomic_write_text(tmp_path / "x.txt", interrupted())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_is_independent_of_the_text_size(self, tmp_path):
+        # about 11 MB of text, the shape of a C = 1000 confusion matrix
+        payload = {"confusion_matrix": [[(i * j) % 1000 for j in range(1000)] for i in range(1000)]}
+        tracemalloc.start()
+        try:
+            experiments._write_json(tmp_path / "report.json", payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.json").stat().st_size > 10 << 20
+        assert peak <= 1 << 20
 
     def test_real_reports_equal_json_dumps(self, tmp_path, capsys, monkeypatch):
         written = []

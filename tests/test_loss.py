@@ -354,3 +354,93 @@ class TestBatch:
             shift[c] = step
             fd[:, c] = (batch_loss(Z + shift, targets, q, params) - batch_loss(Z - shift, targets, q, params)) / (2 * step)
         np.testing.assert_allclose(G, fd, rtol=2e-6, atol=1e-9)
+
+
+@st.composite
+def dual_margin_cases(draw):
+    """A row of logits of scale up to 1e4 with its target, set mask and weights;
+    N (the classes outside the set) is never empty."""
+    C = draw(st.integers(3, 11))
+    t, n_member = draw(st.lists(st.integers(0, C - 1), min_size=2, max_size=2, unique=True))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=C, max_size=C)))
+    mask[t], mask[n_member] = True, False
+    scale = draw(st.sampled_from([1.0, 1e4]) | st.floats(1e-2, 1e4))
+    z = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=C, max_size=C)))
+    weight = st.floats(0.01, 100.0)
+    return z, t, mask, draw(weight), draw(weight), scale
+
+
+def losses_both_ways(rows, t, mask, alpha, beta):
+    """Per-row losses from ``loss_from_logits`` and from one ``batch_loss_and_grad`` call."""
+    rows = np.asarray(rows, dtype=np.float64)
+    single = np.array([loss_from_logits(z, PlausibleSet(mask, t), LossParams(alpha, beta)).loss for z in rows])
+    q = np.zeros((mask.size, mask.size), dtype=bool)
+    q[:, t] = mask  # sets_from_q reads the target's column
+    batched, _ = batch_loss_and_grad(rows, np.full(len(rows), t), q, LossParams(alpha, beta, reduction="none"))
+    return single, batched
+
+
+def assert_no_greater(a, b):
+    """a <= b, up to 1e-12 of their size."""
+    assert a <= b + 1e-12 * max(abs(a), abs(b)), (a, b)
+
+
+class TestFormalProperties:
+    """Monotonicity and partial convexity of the loss, with P = S - {t} and
+    N the classes outside S: it falls as z_t rises, rises with every z_c in
+    N and with alpha and beta, and is convex along directions that move only
+    N's logits (not along P's or z_t's)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dual_margin_cases(), step=st.floats(0.0, 1.0))
+    def test_non_increasing_in_the_target_logit(self, case, step):
+        z, t, mask, alpha, beta, scale = case
+        raised = z.copy()
+        raised[t] += step * scale
+        for before, after in losses_both_ways([z, raised], t, mask, alpha, beta):
+            assert_no_greater(after, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dual_margin_cases(), step=st.floats(0.0, 1.0))
+    def test_non_decreasing_in_each_implausible_logit(self, case, step):
+        z, t, mask, alpha, beta, scale = case
+        rows = [z]
+        for c in np.flatnonzero(~mask):
+            raised = z.copy()
+            raised[c] += step * scale
+            rows.append(raised)
+        for losses in losses_both_ways(rows, t, mask, alpha, beta):
+            for after in losses[1:]:
+                assert_no_greater(losses[0], after)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dual_margin_cases(), factor=st.floats(1.0, 100.0), which=st.sampled_from(["alpha", "beta"]))
+    def test_non_decreasing_in_alpha_and_beta(self, case, factor, which):
+        z, t, mask, alpha, beta, _ = case
+        low = losses_both_ways([z], t, mask, alpha, beta)
+        if which == "alpha":
+            high = losses_both_ways([z], t, mask, alpha * factor, beta)
+        else:
+            high = losses_both_ways([z], t, mask, alpha, beta * factor)
+        for lo, hi in zip(low, high):
+            assert_no_greater(lo[0], hi[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dual_margin_cases(), data=st.data())
+    def test_midpoint_convex_along_implausible_directions(self, case, data):
+        z, t, mask, alpha, beta, scale = case
+        direction = np.where(mask, 0.0, scale * np.array(data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=z.size, max_size=z.size)
+        )))
+        for mid, plus, minus in losses_both_ways([z, z + direction, z - direction], t, mask, alpha, beta):
+            assert_no_greater(mid, (plus + minus) / 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=dual_margin_cases())
+    def test_gradient_sign_at_target_and_on_implausible(self, case):
+        z, t, mask, alpha, beta, _ = case
+        q = np.zeros((z.size, z.size), dtype=bool)
+        q[:, t] = mask
+        _, grad = batch_loss_and_grad(z[None, :], [t], q, LossParams(alpha, beta))
+        assert grad[0, t] <= 0.0
+        assert np.all(grad[0, ~mask] >= 0.0)

@@ -288,7 +288,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("n,C,block_rows", [(800, 4, 1), (800, 4, 7), (50, 30, 7), (3000, 1000, None)])
     def test_blocks_match_one_pass_bit_for_bit(self, monkeypatch, n, C, block_rows, with_q):
         # block heights 1 and 7 (800 = 114 * 7 + 2); by default 3000 x 1000
-        # logits are 3 blocks
+        # logits are 12 blocks of 250 rows
         if block_rows is not None:
             monkeypatch.setattr(training, "_EVAL_BLOCK_BYTES", block_rows * C * 8)
         model, data = self.dyadic_case(n, C)
@@ -329,7 +329,9 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (8 << 20)  # four blocks of 8 MB
+        # the C x C confusion matrix (8 MB) is made after the last block, whose
+        # logits and probabilities are 2 MB each
+        assert peak <= C * C * 8 + 3 * (2 << 20)
 
     def test_diagonal_mass_of_identity_confusion(self):
         assert diagonal_mass(np.diag([5, 3, 2])) == pytest.approx(3.0)
