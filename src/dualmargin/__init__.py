@@ -13,20 +13,15 @@ __version__ = "0.1.0"
 from .loss import (
     LossBreakdown,
     LossParams,
-    PlausibleSet,
     batch_loss,
     batch_loss_and_grad,
-    grad_from_logits,
     loss_from_logits,
     loss_from_probs,
     sets_from_q,
     softmax,
 )
 from .plausibility import (
-    per_sample_sets,
     q_from_transition,
-    q_hierarchy,
-    q_identity,
     q_mil,
     q_ordinal,
 )
@@ -36,7 +31,6 @@ from .datasets import (
     LabeledDataset,
     make_gaussian_mixture,
     make_mil_bags,
-    make_ordinal_line,
     make_ring,
 )
 from .training import (
@@ -54,18 +48,13 @@ __all__ = [
     "__version__",
     "LossBreakdown",
     "LossParams",
-    "PlausibleSet",
     "batch_loss",
     "batch_loss_and_grad",
-    "grad_from_logits",
     "loss_from_logits",
     "loss_from_probs",
     "sets_from_q",
     "softmax",
-    "per_sample_sets",
     "q_from_transition",
-    "q_hierarchy",
-    "q_identity",
     "q_mil",
     "q_ordinal",
     "NoiseSpec",
@@ -76,7 +65,6 @@ __all__ = [
     "LabeledDataset",
     "make_gaussian_mixture",
     "make_mil_bags",
-    "make_ordinal_line",
     "make_ring",
     "ExperimentReport",
     "ModelParams",

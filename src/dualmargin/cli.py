@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .experiments import default_config, load_config, merge_config, run_experiment
-from .loss import LossParams, PlausibleSet, loss_from_logits, sets_from_q
+from .loss import LossParams, loss_from_logits
 from .plausibility import load_q_text
 from .training import TrainingDivergedError
 
@@ -63,12 +63,8 @@ def _load_logits(path: str) -> np.ndarray:
 def _cmd_loss_eval(args) -> int:
     z = _load_logits(args.z_file)
     q = load_q_text(args.q_file)
-    if q.shape[0] != z.size:
-        raise ValueError(f"Q is {q.shape[0]}x{q.shape[0]} but there are {z.size} logits")
-    mask = sets_from_q(q, np.array([args.target]))[0]
-    pset = PlausibleSet(mask=mask, target=args.target)
     params = LossParams(alpha=args.alpha, beta=args.beta, allow_degenerate=True)
-    breakdown = loss_from_logits(z, pset, params)
+    breakdown = loss_from_logits(z, args.target, q, params)
     for key, value in breakdown.as_dict().items():
         print(f"{key} = {value:.17g}")
     return EXIT_OK

@@ -1,9 +1,9 @@
 """Seeded desk-scale dataset generators for the experiment suite.
 
-Four generators cover the structured-class-space settings: a cyclic 2-D
-ring whose classes are angular sectors, an isotropic Gaussian mixture
-with well-separated means, a 1-D ordinal line, and synthetic
-multiple-instance bags with the negative-bag purity guarantee.  All
+Three generators cover the experiment families: a cyclic 2-D ring whose
+classes are angular sectors (toy2d), an isotropic Gaussian mixture with
+well-separated means (noise-recovery, sweep), and synthetic multiple-
+instance bags with the negative-bag purity guarantee (mil-toy).  All
 generators are pure functions of their arguments; the same seed always
 reproduces the same arrays.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "BagDataset",
     "make_ring",
     "make_gaussian_mixture",
-    "make_ordinal_line",
     "make_mil_bags",
 ]
 
@@ -211,21 +210,6 @@ def make_gaussian_mixture(
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(class_count), n_per_class)
     features = means[labels] + rng.normal(size=(labels.size, dim))
-    return LabeledDataset(features=features, clean_labels=labels, class_count=class_count)
-
-
-def make_ordinal_line(
-    class_count: int,
-    n_per_class: int = 200,
-    overlap_std: float = 0.5,
-    seed: int = 0,
-) -> LabeledDataset:
-    """1-D ordinal data: class c is N(c, overlap_std^2) on the real line."""
-    if class_count < 2:
-        raise ValueError("ordinal line needs at least 2 classes")
-    rng = np.random.default_rng(seed)
-    labels = np.repeat(np.arange(class_count), n_per_class)
-    features = (labels + rng.normal(0.0, overlap_std, labels.size))[:, None]
     return LabeledDataset(features=features, clean_labels=labels, class_count=class_count)
 
 

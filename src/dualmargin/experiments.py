@@ -204,20 +204,26 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
     if not cfg.get("output_dir"):
         raise ValueError("output_dir must be set")
-    # the sections a family reads are the objects in its defaults
-    sections = [key for key, value in _DEFAULTS[experiment].items() if isinstance(value, dict)]
+    # a family reads the keys of its defaults, and its sections are the objects
+    defaults = _DEFAULTS[experiment]
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} for {experiment}; known keys are {sorted(defaults)}")
+    sections = [key for key, value in defaults.items() if isinstance(value, dict)]
     for section in sections:
         if not isinstance(cfg.get(section), dict):
             raise ValueError(f"{section} must be an object, got {cfg.get(section)!r}")
     unknown = sorted(set(cfg["train"]) - set(_BASE_TRAIN))
     if unknown:
         raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
-    for section in sections:
-        _check_finite(section, cfg[section])
-        defaults = _DEFAULTS[experiment][section]
-        for key, value in cfg[section].items():
-            if key in defaults:
-                _check_type(f"{section}.{key}", value, type(defaults[key]))
+    for key, value in cfg.items():
+        _check_finite(key, value)
+        if key not in sections:
+            _check_type(key, value, type(defaults[key]))
+            continue
+        for name, item in value.items():
+            if name in defaults[key]:
+                _check_type(f"{key}.{name}", item, type(defaults[key][name]))
     # building these raises ValueError on bad values
     TrainConfig(seed=0, **cfg["train"])
     if "noise" in sections:

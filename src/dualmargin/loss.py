@@ -1,9 +1,11 @@
 """Dual-margin classification loss with stable logit-space evaluation.
 
 The loss scores a prediction against *two* partitions of the class set at
-once: the target class ``t`` versus everything else, and a caller-supplied
-*plausible set* ``S`` (with ``t`` forced in) versus its complement ``N``.
-In probability space it reads
+once: the target class ``t`` versus everything else, and the target's
+*plausible set* ``S`` versus its complement ``N``.  ``S`` is always read
+off a boolean plausibility matrix Q: it is column ``t`` of Q with ``t``
+forced in (:func:`sets_from_q`), for one row as for a batch.  In
+probability space it reads
 
     loss(p, t, S) = log(1 + alpha * (1 - p_t) / p_t + beta * (1 - p_S) / p_S)
 
@@ -32,7 +34,7 @@ from the two cell log-sum-exps,
 and the pool itself is ``m + log1p(expm1(-m) + e^(a-m) + e^(b-m))`` with
 ``m = max(0, a, b)``, which is ``log1p(e^a + e^b)`` when ``m = 0`` and so
 keeps full relative accuracy for losses far below machine epsilon.  The
-analytic gradient (:func:`grad_from_logits`) reuses the same exponential
+analytic gradient (:func:`batch_loss_and_grad`) reuses the same exponential
 array, scaled by one coefficient per row and cell; each coefficient is the
 exp of a quantity that is <= 0 by construction.
 
@@ -53,18 +55,16 @@ import numpy as np
 
 __all__ = [
     "LossParams",
-    "PlausibleSet",
     "LossBreakdown",
     "softmax",
     "loss_from_probs",
     "loss_from_logits",
-    "grad_from_logits",
     "sets_from_q",
     "batch_loss",
     "batch_loss_and_grad",
 ]
 
-_REDUCTIONS = ("mean", "sum", "none")
+_REDUCTIONS = ("mean", "none")
 
 
 @dataclass
@@ -93,39 +93,6 @@ class LossParams:
             raise ValueError(f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}")
         if self.alpha == 0.0 and self.beta == 0.0 and not self.allow_degenerate:
             raise ValueError("alpha and beta are both zero; pass allow_degenerate=True if intended")
-
-
-@dataclass
-class PlausibleSet:
-    """Boolean membership mask over classes plus the target index.
-
-    The target is always forced into the set, mirroring how per-label sets
-    are read off a plausibility matrix at consumption time.
-    """
-
-    mask: np.ndarray
-    target: int
-
-    def __post_init__(self) -> None:
-        mask = np.array(self.mask, dtype=bool)
-        if mask.ndim != 1 or mask.size < 1:
-            raise ValueError("mask must be a non-empty 1-D boolean array")
-        target = int(self.target)
-        if not 0 <= target < mask.size:
-            raise ValueError(f"target {target} out of range for {mask.size} classes")
-        mask[target] = True
-        self.mask = mask
-        self.target = target
-
-    @property
-    def class_count(self) -> int:
-        return int(self.mask.size)
-
-    @classmethod
-    def from_indices(cls, class_count: int, members, target: int) -> "PlausibleSet":
-        mask = np.zeros(class_count, dtype=bool)
-        mask[np.asarray(list(members), dtype=int)] = True
-        return cls(mask=mask, target=target)
 
 
 @dataclass
@@ -169,33 +136,33 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def loss_from_probs(p, pset: PlausibleSet, params: LossParams) -> float:
+def loss_from_probs(p, target: int, q, params: LossParams) -> float:
     """Probability-form reference evaluation (the slow oracle path).
 
-    Complement masses are accumulated as explicit sums over the complement
-    indices rather than as ``1 - p_t`` / ``1 - p_S``, which keeps the ratios
-    exact when a set covers (nearly) the whole simplex.  Raises ValueError
-    when ``p_t`` or ``p_S`` is zero: this path cannot represent infinite
-    loss, use the logit form instead.
+    The plausible set is column ``target`` of ``q``, as in
+    :func:`loss_from_logits`.  Complement masses are accumulated as
+    explicit sums over the complement indices rather than as ``1 - p_t`` /
+    ``1 - p_S``, which keeps the ratios exact when a set covers (nearly)
+    the whole simplex.  Raises ValueError when ``p_t`` or ``p_S`` is zero:
+    this path cannot represent infinite loss, use the logit form instead.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("p must be a non-empty 1-D array")
-    if p.size != pset.class_count:
-        raise ValueError("p and plausible set disagree on class count")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    t = pset.target
+    _, targets, masks = _validate_batch(p[None, :], [target], q)
+    t, mask = targets[0], masks[0]
     p_t = p[t]
-    p_set = p[pset.mask].sum()
+    p_set = p[mask].sum()
     if p_t <= 0.0:
         raise ValueError("p_t is zero: infinite loss; evaluate in logit space instead")
     if p_set <= 0.0:
         raise ValueError("p_S is zero: infinite loss; evaluate in logit space instead")
     p_rest = p[np.arange(p.size) != t].sum()
-    p_out = p[~pset.mask].sum()
+    p_out = p[~mask].sum()
     return float(np.log1p(params.alpha * (p_rest / p_t) + params.beta * (p_out / p_set)))
 
 
@@ -276,38 +243,19 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     return losses, e, terms
 
 
-def _row_inputs(z, pset: PlausibleSet):
-    """Validate one logit vector and lift it to the kernel's batch of one."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError("logits must be a non-empty 1-D array")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    if z.size != pset.class_count:
-        raise ValueError("logits and plausible set disagree on class count")
-    if z.size == 1:
-        warnings.warn(
-            "single-class input: both margin terms vanish and the loss is 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return z[None, :], pset.mask[None, :], np.array([pset.target])
+def loss_from_logits(z, target: int, q, params: LossParams) -> LossBreakdown:
+    """Stable logit-space evaluation of one row; returns the full term breakdown.
 
-
-def loss_from_logits(z, pset: PlausibleSet, params: LossParams) -> LossBreakdown:
-    """Stable logit-space evaluation; returns the full term breakdown.
-
-    Agrees with :func:`loss_from_probs` on softmax(z) to ~1e-12 relative
-    for moderate logits and stays finite for any finite logit magnitude.
+    The plausible set is column ``target`` of ``q``.  Agrees with
+    :func:`loss_from_probs` on softmax(z) to ~1e-12 relative for moderate
+    logits and stays finite for any finite logit magnitude.
     """
-    _, _, terms = _kernel(*_row_inputs(z, pset), params.alpha, params.beta, want_grad=False)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("logits must be a 1-D array")
+    Z, targets, masks = _validate_batch(z[None, :], [target], q)
+    _, _, terms = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
     return LossBreakdown(constant_term=0.0, **{name: float(v[0]) for name, v in terms.items()})
-
-
-def grad_from_logits(z, pset: PlausibleSet, params: LossParams) -> np.ndarray:
-    """Analytic gradient of :func:`loss_from_logits` with respect to z."""
-    _, grad, _ = _kernel(*_row_inputs(z, pset), params.alpha, params.beta, want_grad=True)
-    return grad[0]
 
 
 def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
@@ -332,7 +280,8 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
     return masks
 
 
-def _validate_batch(Z, targets) -> tuple[np.ndarray, np.ndarray]:
+def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked float64 logits, the targets and their plausible-set masks."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("Z must be a (batch, classes) array")
@@ -341,23 +290,26 @@ def _validate_batch(Z, targets) -> tuple[np.ndarray, np.ndarray]:
     targets = np.asarray(targets, dtype=int)
     if targets.shape != (Z.shape[0],):
         raise ValueError("targets must have one entry per batch row")
+    q = np.asarray(q, dtype=bool)
+    if q.shape != (Z.shape[1], Z.shape[1]):
+        raise ValueError(f"Q has shape {q.shape} but the logits have {Z.shape[1]} classes")
     if Z.shape[1] == 1:
         warnings.warn(
             "single-class input: both margin terms vanish and the loss is 0",
             RuntimeWarning,
             stacklevel=3,
         )
-    return Z, targets
+    return Z, targets, sets_from_q(q, targets)
 
 
 def batch_loss(Z, targets, q, params: LossParams):
     """Batched loss over per-sample sets read from the columns of Q.
 
-    Returns a scalar under mean/sum reduction, or the per-sample vector
-    when ``params.reduction == "none"``.
+    Returns a scalar under mean reduction, or the per-sample vector when
+    ``params.reduction == "none"``.
     """
-    Z, targets = _validate_batch(Z, targets)
-    losses, _, _ = _kernel(Z, sets_from_q(q, targets), targets, params.alpha, params.beta, want_grad=False)
+    Z, targets, masks = _validate_batch(Z, targets, q)
+    losses, _, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
     return _reduce(losses, params.reduction)
 
 
@@ -367,16 +319,12 @@ def batch_loss_and_grad(Z, targets, q, params: LossParams):
     Under ``reduction="none"`` the gradient rows are the per-sample
     gradients (i.e. the Jacobian diagonal blocks stacked as (B, C)).
     """
-    Z, targets = _validate_batch(Z, targets)
-    losses, grads, _ = _kernel(Z, sets_from_q(q, targets), targets, params.alpha, params.beta, want_grad=True)
+    Z, targets, masks = _validate_batch(Z, targets, q)
+    losses, grads, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=True)
     if params.reduction == "mean":
         grads /= Z.shape[0]
     return _reduce(losses, params.reduction), grads
 
 
 def _reduce(losses: np.ndarray, reduction: str):
-    if reduction == "mean":
-        return float(losses.mean())
-    if reduction == "sum":
-        return float(losses.sum())
-    return losses
+    return float(losses.mean()) if reduction == "mean" else losses

@@ -1,10 +1,15 @@
 """Constructors and serialization for class-plausibility matrices.
 
 A plausibility matrix Q is a dense boolean (C, C) array; entry ``(c, t)``
-marks class ``c`` as conceivable for an instance labeled ``t``.  Consumers
-read column ``t`` and force the diagonal, so every label always yields a
-nonempty plausible set.  Dense storage is deliberate: class counts here
-are at most a few thousand.
+marks class ``c`` as conceivable for an instance labeled ``t``.  Q is the
+only way the library names a plausible set: the loss reads column ``t``
+and forces the diagonal (:func:`dualmargin.loss.sets_from_q`), so every
+label always yields a nonempty set.  Dense storage is deliberate: class
+counts here are at most a few thousand.
+
+Three builders serve the experiment families: :func:`q_ordinal` (a band of
+neighbouring labels; toy2d), :func:`q_mil` (the MIL asymmetry; mil-toy) and
+:func:`q_from_transition` (a noise matrix's support; noise-recovery, sweep).
 
 Q has one interchange format, read by the ``loss-eval`` command: C text
 rows of space-separated 0/1 tokens.  The loader validates squareness and
@@ -13,30 +18,18 @@ token values and names the offending row.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "q_identity",
     "q_ordinal",
-    "q_hierarchy",
     "q_mil",
     "q_from_transition",
-    "per_sample_sets",
     "q_from_text",
     "load_q_text",
 ]
 
 MIL_NEGATIVE = 0
 MIL_POSITIVE = 1
-
-
-def q_identity(class_count: int) -> np.ndarray:
-    """Diagonal-only Q: every label's plausible set is just itself."""
-    if class_count < 1:
-        raise ValueError("class_count must be >= 1")
-    return np.eye(class_count, dtype=bool)
 
 
 def q_ordinal(class_count: int, window: int, boundary: str = "clamp") -> np.ndarray:
@@ -58,18 +51,6 @@ def q_ordinal(class_count: int, window: int, boundary: str = "clamp") -> np.ndar
     if boundary == "wrap":
         diff = np.minimum(diff, class_count - diff)
     return diff <= window
-
-
-def q_hierarchy(group_of) -> np.ndarray:
-    """Q marking same-group classes as mutually plausible.
-
-    ``group_of[c]`` is the group index of class c (e.g. genus per species).
-    The result is symmetric; singleton groups reduce to the identity.
-    """
-    groups = np.asarray(group_of, dtype=int)
-    if groups.ndim != 1 or groups.size < 1:
-        raise ValueError("group_of must be a non-empty 1-D array of group indices")
-    return groups[:, None] == groups[None, :]
 
 
 def q_mil() -> np.ndarray:
@@ -95,34 +76,6 @@ def q_from_transition(transition) -> np.ndarray:
     if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {probs.shape}")
     return probs > 0.0
-
-
-def per_sample_sets(targets, sigmas, class_count: int) -> list:
-    """Per-sample plausible sets {t - ceil(s), ..., t + ceil(s)} clamped to range.
-
-    ``sigmas`` are per-sample annotation standard deviations; the window
-    half-width is their ceiling.  Returns a list of
-    :class:`~dualmargin.loss.PlausibleSet`.
-    """
-    from .loss import PlausibleSet
-
-    targets = np.asarray(targets, dtype=int)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if targets.shape != sigmas.shape or targets.ndim != 1:
-        raise ValueError("targets and sigmas must be 1-D arrays of equal length")
-    if np.any(sigmas < 0.0) or not np.all(np.isfinite(sigmas)):
-        raise ValueError("sigmas must be finite and non-negative")
-    if targets.size and (targets.min() < 0 or targets.max() >= class_count):
-        raise ValueError(f"targets out of range [0, {class_count})")
-    sets = []
-    for t, s in zip(targets, sigmas):
-        w = math.ceil(s)
-        lo = max(0, int(t) - w)
-        hi = min(class_count - 1, int(t) + w)
-        mask = np.zeros(class_count, dtype=bool)
-        mask[lo : hi + 1] = True
-        sets.append(PlausibleSet(mask=mask, target=int(t)))
-    return sets
 
 
 # ---------------------------------------------------------------------------

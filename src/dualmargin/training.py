@@ -316,6 +316,7 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
         masses[1, block] = logits.sum(axis=1)
         np.copyto(probs, 0.0, where=masks)
         masses[2, block] = probs.sum(axis=1)
+    logits = probs = masks = None  # free the last block before the C x C matrix is made
 
     confusion = np.zeros((C, C), dtype=int)
     np.add.at(confusion, (labels, preds), 1)

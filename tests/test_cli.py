@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualmargin import LossParams, PlausibleSet, experiments, loss_from_logits, sets_from_q, training
+from dualmargin import LossParams, experiments, loss_from_logits, training
 from dualmargin.cli import main
 from dualmargin.plausibility import q_ordinal
 
@@ -56,10 +56,7 @@ class TestLossEval:
         assert code == 0
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         z = np.array([2.0, 1.0, 0.0, -1.0])
-        mask = sets_from_q(q_ordinal(4, 1, "clamp"), np.array([0]))[0]
-        expected = loss_from_logits(
-            z, PlausibleSet(mask=mask, target=0), LossParams(0.1, 10.0, allow_degenerate=True)
-        )
+        expected = loss_from_logits(z, 0, q_ordinal(4, 1, "clamp"), LossParams(0.1, 10.0, allow_degenerate=True))
         for key, value in expected.as_dict().items():
             assert float(fields[key]) == value  # %.17g round-trips float64 exactly
 
@@ -290,6 +287,7 @@ class TestExperimentCommands:
         [
             ({"train": {"epoch": 3}}, "epoch"),
             ({"dataset": None}, "dataset"),
+            ({"epochs": 3}, "epochs"),  # a train key at the top level
         ],
     )
     def test_bad_config_section_exits_2_naming_key(self, tmp_path, capsys, doc, key):
@@ -316,11 +314,13 @@ class TestExperimentCommands:
             ("sweep", {"noise": {"topology": 3}}, "noise.topology"),
             ("sweep", {"sweep": {"alpha_values": [0.1, "1"]}}, "sweep.alpha_values"),
             ("sweep", {"sweep": {"beta_values": 1.0}}, "sweep.beta_values"),
+            ("toy2d", {"window": "2"}, "window"),
+            ("sweep --alpha 5 --beta 7", {}, "loss"),  # the sweep reads no loss section
         ],
     )
     def test_section_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, key):
         cfg = write_config(tmp_path, doc)
-        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        code, _, err = run_cli([*command.split(), "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 2
         assert key in err
         assert not (tmp_path / "o").exists()
@@ -336,6 +336,7 @@ class TestExperimentCommands:
             ("mil-toy", {"dataset": {"separation": math.nan}}, "dataset.separation"),
             ("noise-recovery", {"noise": {"eta": math.inf}}, "noise.eta"),
             ("sweep", {"sweep": {"alpha_values": [0.1, math.nan]}}, "sweep.alpha_values"),
+            ("toy2d", {"grid_resolution": math.nan}, "grid_resolution"),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):

@@ -12,7 +12,6 @@ from dualmargin import (
     TrainConfig,
     make_gaussian_mixture,
     make_mil_bags,
-    make_ordinal_line,
     make_ring,
     train,
 )
@@ -153,37 +152,6 @@ class TestMixtureMeansCache:
         means = datasets._mixture_means(12, 3, 4.0, 0)
         with pytest.raises(ValueError):
             means[0, 0] = 1.0
-
-
-class TestOrdinalLine:
-    def test_centers_sit_at_class_indices(self):
-        C = 6
-        ds = make_ordinal_line(C, n_per_class=4000, overlap_std=0.5, seed=1)
-        for c in range(C):
-            center = ds.features[ds.clean_labels == c, 0].mean()
-            assert abs(center - c) < 0.05
-
-    def test_tiny_overlap_classifies_by_rounding(self):
-        ds = make_ordinal_line(5, n_per_class=500, overlap_std=0.05, seed=2)
-        rounded = np.clip(np.round(ds.features[:, 0]), 0, 4).astype(int)
-        np.testing.assert_array_equal(rounded, ds.clean_labels)
-
-    def test_confusion_is_adjacent_and_matches_tail_mass(self):
-        C, std, n_per = 10, 0.4, 3000
-        ds = make_ordinal_line(C, n_per_class=n_per, overlap_std=std, seed=3)
-        nearest = np.clip(np.round(ds.features[:, 0]), 0, C - 1).astype(int)
-        crossed = (nearest != ds.clean_labels).mean()
-        # interior classes cross on both sides, edge classes on one
-        tail = stats.norm.cdf(-0.5 / std)
-        expected = ((C - 2) * 2 * tail + 2 * tail) / C
-        sigma = math.sqrt(expected * (1 - expected) / (C * n_per))
-        assert abs(crossed - expected) < 4 * sigma
-        dist = np.abs(nearest - ds.clean_labels)
-        assert (dist >= 2).mean() < 1e-3
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            make_ordinal_line(1)
 
 
 class TestMilBags:

@@ -14,10 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from dualmargin import (
     LossParams,
-    PlausibleSet,
     batch_loss,
     batch_loss_and_grad,
-    grad_from_logits,
     loss_from_logits,
     loss_from_probs,
     sets_from_q,
@@ -26,7 +24,17 @@ from dualmargin import (
 
 
 def pset(class_count, members, target):
-    return PlausibleSet.from_indices(class_count, members, target)
+    """A Q whose column ``target`` holds ``members``: that label's plausible set."""
+    q = np.zeros((class_count, class_count), dtype=bool)
+    q[np.asarray(list(members), dtype=int), target] = True
+    return q
+
+
+def row_grad(z, target, q, params):
+    """The gradient of one row's loss, from a batch of one."""
+    one_row = LossParams(params.alpha, params.beta, reduction="none")
+    _, grad = batch_loss_and_grad(np.asarray(z, dtype=np.float64)[None, :], [target], q, one_row)
+    return grad[0]
 
 
 def log_softmax_oracle(z, t):
@@ -50,16 +58,21 @@ class TestParamsAndSets:
         assert params.alpha == 0.0
 
     def test_bad_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            LossParams(1.0, 0.0, reduction="max")
+        for reduction in ("max", "sum"):
+            with pytest.raises(ValueError):
+                LossParams(1.0, 0.0, reduction=reduction)
 
     def test_target_forced_into_set(self):
-        ps = PlausibleSet(mask=np.array([False, True, False]), target=0)
-        assert ps.mask[0]
+        # column 0 of Q leaves out class 0 itself; the loss reads it as {0, 1}
+        z = np.array([0.5, -1.0, 2.0])
+        params = LossParams(0.3, 4.0)
+        without = loss_from_logits(z, 0, pset(3, [1], 0), params)
+        assert without == loss_from_logits(z, 0, pset(3, [0, 1], 0), params)
+        assert loss_from_probs(softmax(z), 0, pset(3, [1], 0), params) == pytest.approx(without.loss, rel=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            PlausibleSet(mask=np.array([True, True]), target=2)
+            loss_from_logits([0.0, 0.0], 2, np.eye(2, dtype=bool), LossParams(1.0, 0.0))
 
     def test_sets_from_q_forces_diagonal(self):
         q = np.zeros((3, 3), dtype=bool)
@@ -75,29 +88,29 @@ class TestParamsAndSets:
 
 class TestProbabilityForm:
     def test_ce_reduction_at_uniform_binary(self):
-        got = loss_from_probs([0.5, 0.5], pset(2, [0], 0), LossParams(1.0, 0.0))
+        got = loss_from_probs([0.5, 0.5], 0, pset(2, [0], 0), LossParams(1.0, 0.0))
         assert got == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_direct_substitution_uniform_four_class(self):
-        got = loss_from_probs([0.25] * 4, pset(4, [0, 1], 0), LossParams(1.0, 1.0))
+        got = loss_from_probs([0.25] * 4, 0, pset(4, [0, 1], 0), LossParams(1.0, 1.0))
         assert got == pytest.approx(np.log(5.0), abs=1e-14)
 
     def test_certain_target_gives_zero(self):
-        got = loss_from_probs([1.0, 0.0, 0.0], pset(3, [0, 1], 0), LossParams(2.0, 3.0))
+        got = loss_from_probs([1.0, 0.0, 0.0], 0, pset(3, [0, 1], 0), LossParams(2.0, 3.0))
         assert got == 0.0
 
     def test_zero_target_probability_is_domain_error(self):
         with pytest.raises(ValueError):
-            loss_from_probs([0.0, 1.0], pset(2, [0], 0), LossParams(1.0, 0.0))
+            loss_from_probs([0.0, 1.0], 0, pset(2, [0], 0), LossParams(1.0, 0.0))
 
     def test_invalid_simplex_rejected(self):
         with pytest.raises(ValueError):
-            loss_from_probs([0.9, 0.3], pset(2, [0], 0), LossParams(1.0, 0.0))
+            loss_from_probs([0.9, 0.3], 0, pset(2, [0], 0), LossParams(1.0, 0.0))
 
 
 class TestLogitForm:
     def test_uniform_binary_ce_reduction(self):
-        b = loss_from_logits([0.0, 0.0], pset(2, [0], 0), LossParams(1.0, 0.0))
+        b = loss_from_logits([0.0, 0.0], 0, pset(2, [0], 0), LossParams(1.0, 0.0))
         assert b.loss == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_matches_high_precision_direct_form(self):
@@ -111,7 +124,7 @@ class TestLogitForm:
         p_t = p[0]
         p_s = p[0] + p[1]
         expected = mp.log(1 + mp.mpf("0.1") * (1 - p_t) / p_t + 10 * (1 - p_s) / p_s)
-        got = loss_from_logits(z, pset(4, [0, 1], 0), LossParams(0.1, 10.0)).loss
+        got = loss_from_logits(z, 0, pset(4, [0, 1], 0), LossParams(0.1, 10.0)).loss
         assert got == pytest.approx(float(expected), abs=1e-12)
 
     def test_loss_far_below_eps_keeps_full_relative_accuracy(self):
@@ -123,36 +136,36 @@ class TestLogitForm:
         exps = [mp.e ** mp.mpf(v) for v in z]
         p_t = exps[0] / sum(exps)
         expected = float(mp.log(1 + (mp.mpf("0.1") + 10) * (1 - p_t) / p_t))
-        got = loss_from_logits(z, pset(3, [0], 0), params).loss
+        got = loss_from_logits(z, 0, pset(3, [0], 0), params).loss
         batched = batch_loss(np.array([z]), [0], np.eye(3, dtype=bool), params)[0]
         assert 0.0 < expected < 1e-15
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert batched == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_extreme_logits_stay_finite_and_small(self):
-        b = loss_from_logits([1e4, 0.0, 0.0], pset(3, [0], 0), LossParams(1.0, 1.0))
+        b = loss_from_logits([1e4, 0.0, 0.0], 0, pset(3, [0], 0), LossParams(1.0, 1.0))
         assert np.isfinite(b.loss)
         assert b.loss < 1e-6  # dominant target logit drives the loss to 0
 
     def test_full_set_drops_the_set_term(self):
         z = np.array([1.0, -2.0, 0.5])
-        full = loss_from_logits(z, pset(3, [0, 1, 2], 1), LossParams(1.0, 50.0))
-        alpha_only = loss_from_logits(z, pset(3, [0, 1, 2], 1), LossParams(1.0, 0.0))
+        full = loss_from_logits(z, 1, pset(3, [0, 1, 2], 1), LossParams(1.0, 50.0))
+        alpha_only = loss_from_logits(z, 1, pset(3, [0, 1, 2], 1), LossParams(1.0, 0.0))
         assert full.set_term == -np.inf
         assert full.z_implausible == -np.inf
         assert full.loss == pytest.approx(alpha_only.loss, abs=1e-14)
 
     def test_zero_alpha_drops_the_target_term(self):
-        b = loss_from_logits([1.0, 2.0, 3.0], pset(3, [0], 0), LossParams(0.0, 2.0))
+        b = loss_from_logits([1.0, 2.0, 3.0], 0, pset(3, [0], 0), LossParams(0.0, 2.0))
         assert b.target_term == -np.inf
         assert np.isfinite(b.loss)
 
     def test_single_class_warns_and_returns_zero(self):
         with pytest.warns(RuntimeWarning):
-            b = loss_from_logits([3.0], pset(1, [0], 0), LossParams(1.0, 1.0))
+            b = loss_from_logits([3.0], 0, pset(1, [0], 0), LossParams(1.0, 1.0))
         assert b.loss == 0.0
         with pytest.warns(RuntimeWarning):
-            g = grad_from_logits([3.0], pset(1, [0], 0), LossParams(1.0, 1.0))
+            g = row_grad([3.0], 0, pset(1, [0], 0), LossParams(1.0, 1.0))
         np.testing.assert_array_equal(g, [0.0])
 
     def test_breakdown_recomposes_to_loss(self):
@@ -162,7 +175,7 @@ class TestLogitForm:
             z = rng.normal(0, 2, C)
             t = int(rng.integers(C))
             members = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
-            b = loss_from_logits(z, pset(C, members, t), LossParams(0.7, 3.0))
+            b = loss_from_logits(z, t, pset(C, members, t), LossParams(0.7, 3.0))
             terms = [b.constant_term, b.target_term, b.set_term]
             finite = [v for v in terms if v != -np.inf]
             m = max(finite)
@@ -177,7 +190,7 @@ class TestLogitForm:
         C = int(rng.integers(2, 30))
         z = rng.uniform(-10, 10, C)
         t = int(rng.integers(C))
-        got = loss_from_logits(z, pset(C, [t], t), LossParams(1.0, 0.0)).loss
+        got = loss_from_logits(z, t, pset(C, [t], t), LossParams(1.0, 0.0)).loss
         assert abs(got - log_softmax_oracle(z, t)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -189,14 +202,14 @@ class TestLogitForm:
         t = int(rng.integers(C))
         members = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
         params = LossParams(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2))
-        ps = pset(C, members, t)
-        base = loss_from_logits(z, ps, params).loss
-        shifted = loss_from_logits(z + rng.uniform(-100, 100), ps, params).loss
+        q = pset(C, members, t)
+        base = loss_from_logits(z, t, q, params).loss
+        shifted = loss_from_logits(z + rng.uniform(-100, 100), t, q, params).loss
         assert base >= 0.0
         assert abs(base - shifted) < 1e-10 * max(1.0, abs(base))
 
 
-def central_difference(z, ps, params, step=1e-5):
+def central_difference(z, t, q, params, step=1e-5):
     z = np.asarray(z, dtype=np.float64)
     fd = np.empty_like(z)
     for c in range(z.size):
@@ -204,26 +217,26 @@ def central_difference(z, ps, params, step=1e-5):
         zp[c] += step
         zm[c] -= step
         fd[c] = (
-            loss_from_logits(zp, ps, params).loss - loss_from_logits(zm, ps, params).loss
+            loss_from_logits(zp, t, q, params).loss - loss_from_logits(zm, t, q, params).loss
         ) / (2 * step)
     return fd
 
 
 class TestGradient:
     def test_ce_gradient_identity(self):
-        g = grad_from_logits([0.0, 0.0], pset(2, [0], 0), LossParams(1.0, 0.0))
+        g = row_grad([0.0, 0.0], 0, pset(2, [0], 0), LossParams(1.0, 0.0))
         np.testing.assert_allclose(g, [-0.5, 0.5], atol=1e-15)
 
     def test_matches_finite_differences_on_reference_case(self):
         z = np.array([2.0, 1.0, 0.0, -1.0])
-        ps = pset(4, [0, 1], 0)
+        q = pset(4, [0, 1], 0)
         params = LossParams(0.1, 10.0)
-        g = grad_from_logits(z, ps, params)
-        fd = central_difference(z, ps, params)
+        g = row_grad(z, 0, q, params)
+        fd = central_difference(z, 0, q, params)
         np.testing.assert_allclose(g, fd, rtol=1e-6)
 
     def test_gradient_sums_to_zero_under_shift_invariance(self):
-        g = grad_from_logits([5.0, 5.0, 5.0], pset(3, [1], 1), LossParams(1.0, 1.0))
+        g = row_grad([5.0, 5.0, 5.0], 1, pset(3, [1], 1), LossParams(1.0, 1.0))
         assert abs(g.sum()) < 1e-12
 
     def test_random_configurations_against_finite_differences(self):
@@ -233,10 +246,10 @@ class TestGradient:
             z = rng.normal(0.0, 1.0, C)
             t = int(rng.integers(C))
             members = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
-            ps = pset(C, members, t)
+            q = pset(C, members, t)
             params = LossParams(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1))
-            g = grad_from_logits(z, ps, params)
-            fd = central_difference(z, ps, params)
+            g = row_grad(z, t, q, params)
+            fd = central_difference(z, t, q, params)
             scale = max(1e-8, np.abs(g).max(), np.abs(fd).max())
             assert np.abs(g - fd).max() / scale < 1e-6
 
@@ -250,13 +263,13 @@ class TestGradient:
         ]
         for params, members in cases:
             z = rng.normal(0, 1, 5)
-            ps = pset(5, members, members[0])
-            g = grad_from_logits(z, ps, params)
-            fd = central_difference(z, ps, params)
+            q = pset(5, members, members[0])
+            g = row_grad(z, members[0], q, params)
+            fd = central_difference(z, members[0], q, params)
             np.testing.assert_allclose(g, fd, rtol=2e-6, atol=1e-9)
 
     def test_extreme_logits_gradient_finite(self):
-        g = grad_from_logits([1e4, -1e4, 0.0], pset(3, [0, 2], 0), LossParams(0.5, 5.0))
+        g = row_grad([1e4, -1e4, 0.0], 0, pset(3, [0, 2], 0), LossParams(0.5, 5.0))
         assert np.all(np.isfinite(g))
 
 
@@ -265,7 +278,7 @@ class TestBatch:
         z = np.array([0.3, -1.2, 2.0])
         q = np.eye(3, dtype=bool)
         params = LossParams(1.0, 2.0, reduction="mean")
-        single = loss_from_logits(z, pset(3, [1], 1), params).loss
+        single = loss_from_logits(z, 1, pset(3, [1], 1), params).loss
         batched = batch_loss(z[None, :], [1], q, params)
         assert batched == pytest.approx(single, abs=1e-15)
 
@@ -273,22 +286,22 @@ class TestBatch:
         z = np.array([0.3, -1.2, 2.0])
         q = np.eye(3, dtype=bool)
         params = LossParams(0.4, 3.0, reduction="mean")
-        single = loss_from_logits(z, pset(3, [1], 1), params).loss
+        single = loss_from_logits(z, 1, pset(3, [1], 1), params).loss
         batched = batch_loss(np.stack([z, z]), [1, 1], q, params)
         assert batched == pytest.approx(single, abs=1e-15)
-
-    def test_sum_reduction_matches_none_reduction(self):
-        rng = np.random.default_rng(5)
-        Z = rng.normal(0, 2, size=(3, 6))
-        targets = rng.integers(0, 6, size=3)
-        q = rng.random((6, 6)) < 0.4
-        summed = batch_loss(Z, targets, q, LossParams(0.3, 5.0, reduction="sum"))
-        per_sample = batch_loss(Z, targets, q, LossParams(0.3, 5.0, reduction="none"))
-        assert abs(summed - per_sample.sum()) <= 1e-12
 
     def test_target_out_of_range_raises(self):
         with pytest.raises(ValueError):
             batch_loss(np.zeros((1, 3)), [3], np.eye(3, dtype=bool), LossParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("q_size", [1, 3])
+    def test_q_of_another_class_count_raises(self, q_size):
+        # a 1 x 1 Q would broadcast and mark all 6 classes plausible
+        q = np.ones((q_size, q_size), dtype=bool)
+        with pytest.raises(ValueError, match=rf"\({q_size}, {q_size}\) but the logits have 6 classes"):
+            batch_loss(np.zeros((2, 6)), [0, 1], q, LossParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="6 classes"):
+            loss_from_logits(np.zeros(6), 0, q, LossParams(1.0, 1.0))
 
     def test_batch_gradient_matches_per_sample(self):
         rng = np.random.default_rng(9)
@@ -297,10 +310,8 @@ class TestBatch:
         q = rng.random((5, 5)) < 0.5
         params = LossParams(0.7, 2.0, reduction="mean")
         _, G = batch_loss_and_grad(Z, targets, q, params)
-        masks = sets_from_q(q, targets)
         for b in range(4):
-            ps = PlausibleSet(mask=masks[b], target=int(targets[b]))
-            expected = grad_from_logits(Z[b], ps, LossParams(0.7, 2.0)) / 4
+            expected = row_grad(Z[b], targets[b], q, params) / 4
             np.testing.assert_allclose(G[b], expected, rtol=1e-12, atol=1e-16)
 
     def test_softmax_rows_sum_to_one(self):
@@ -373,9 +384,9 @@ def dual_margin_cases(draw):
 def losses_both_ways(rows, t, mask, alpha, beta):
     """Per-row losses from ``loss_from_logits`` and from one ``batch_loss_and_grad`` call."""
     rows = np.asarray(rows, dtype=np.float64)
-    single = np.array([loss_from_logits(z, PlausibleSet(mask, t), LossParams(alpha, beta)).loss for z in rows])
     q = np.zeros((mask.size, mask.size), dtype=bool)
     q[:, t] = mask  # sets_from_q reads the target's column
+    single = np.array([loss_from_logits(z, t, q, LossParams(alpha, beta)).loss for z in rows])
     batched, _ = batch_loss_and_grad(rows, np.full(len(rows), t), q, LossParams(alpha, beta, reduction="none"))
     return single, batched
 

@@ -5,15 +5,11 @@ import pytest
 
 from dualmargin import (
     LossParams,
-    PlausibleSet,
-    grad_from_logits,
+    batch_loss_and_grad,
     loss_from_logits,
     q_from_transition,
-    q_hierarchy,
-    q_identity,
     q_mil,
     q_ordinal,
-    per_sample_sets,
     sets_from_q,
     build_transition,
     NoiseSpec,
@@ -26,11 +22,8 @@ def members(q, label):
 
 
 class TestIdentity:
-    def test_is_diagonal(self):
-        np.testing.assert_array_equal(q_identity(3), np.eye(3, dtype=bool))
-
     def test_every_set_is_singleton(self):
-        q = q_identity(5)
+        q = np.eye(5, dtype=bool)
         for t in range(5):
             assert members(q, t) == {t}
 
@@ -38,18 +31,13 @@ class TestIdentity:
         # with a singleton set the second margin also targets the label,
         # so any beta > 0 strictly increases the penalty vs plain CE
         rng = np.random.default_rng(0)
-        q = q_identity(6)
+        q = np.eye(6, dtype=bool)
         for _ in range(25):
             z = rng.normal(0, 2, 6)
             t = int(rng.integers(6))
-            ps = PlausibleSet(mask=sets_from_q(q, np.array([t]))[0], target=t)
-            ce = loss_from_logits(z, ps, LossParams(1.0, 0.0)).loss
-            sharpened = loss_from_logits(z, ps, LossParams(1.0, 1.0)).loss
+            ce = loss_from_logits(z, t, q, LossParams(1.0, 0.0)).loss
+            sharpened = loss_from_logits(z, t, q, LossParams(1.0, 1.0)).loss
             assert sharpened > ce
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            q_identity(0)
 
 
 class TestOrdinal:
@@ -64,7 +52,7 @@ class TestOrdinal:
 
     def test_zero_window_equals_identity(self):
         for boundary in ("clamp", "wrap"):
-            np.testing.assert_array_equal(q_ordinal(6, 0, boundary), q_identity(6))
+            np.testing.assert_array_equal(q_ordinal(6, 0, boundary), np.eye(6, dtype=bool))
 
     def test_window_too_large_raises(self):
         with pytest.raises(ValueError):
@@ -73,26 +61,6 @@ class TestOrdinal:
     def test_bad_boundary_raises(self):
         with pytest.raises(ValueError):
             q_ordinal(4, 1, "mirror")
-
-
-class TestHierarchy:
-    def test_two_groups(self):
-        q = q_hierarchy([0, 0, 1])
-        assert members(q, 0) == {0, 1}
-        assert members(q, 2) == {2}
-
-    def test_single_group_covers_everything(self):
-        q = q_hierarchy([7, 7, 7, 7])
-        assert q.all()
-
-    def test_singleton_groups_match_identity(self):
-        np.testing.assert_array_equal(q_hierarchy([0, 1, 2]), q_identity(3))
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        groups = rng.integers(0, 4, size=12)
-        q = q_hierarchy(groups)
-        np.testing.assert_array_equal(q, q.T)
 
 
 class TestMil:
@@ -112,23 +80,23 @@ class TestMil:
         rng = np.random.default_rng(2)
         q = q_mil()
         alpha, beta = 0.1, 10.0
+        dual_margin = LossParams(alpha, beta, reduction="none")
+        ce = LossParams(1.0, 0.0, reduction="none")
         for _ in range(50):
-            z = rng.normal(0, 2, 2)
-            neg_set = PlausibleSet(mask=sets_from_q(q, np.array([0]))[0], target=0)
-            g_neg = grad_from_logits(z, neg_set, LossParams(alpha, beta))
-            assert g_neg[1] >= 0.0
-            pos_set = PlausibleSet(mask=sets_from_q(q, np.array([1]))[0], target=1)
-            g_pos = grad_from_logits(z, pos_set, LossParams(alpha, beta))
-            assert g_pos[1] <= 0.0
+            z = rng.normal(0, 2, size=(1, 2))
+            _, g_neg = batch_loss_and_grad(z, [0], q, dual_margin)
+            assert g_neg[0, 1] >= 0.0
+            _, g_pos = batch_loss_and_grad(z, [1], q, dual_margin)
+            assert g_pos[0, 1] <= 0.0
             # the pos-label pull never exceeds the CE pull for alpha <= 1
-            g_ce = grad_from_logits(z, pos_set, LossParams(1.0, 0.0))
-            assert abs(g_pos[1]) < abs(g_ce[1])
+            _, g_ce = batch_loss_and_grad(z, [1], q, ce)
+            assert abs(g_pos[0, 1]) < abs(g_ce[0, 1])
 
 
 class TestFromTransition:
     def test_identity_transition(self):
         t = build_transition(NoiseSpec("column", 0.0), 10)
-        np.testing.assert_array_equal(q_from_transition(t), q_identity(10))
+        np.testing.assert_array_equal(q_from_transition(t), np.eye(10, dtype=bool))
 
     def test_column_sets(self):
         t = build_transition(NoiseSpec("column", 0.6, sinks=(3, 5)), 10)
@@ -151,24 +119,6 @@ class TestFromTransition:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             q_from_transition(np.ones((2, 3)))
-
-
-class TestPerSampleSets:
-    def test_ceiling_window(self):
-        (s,) = per_sample_sets([10], [2.3], 100)
-        assert set(np.flatnonzero(s.mask)) == set(range(7, 14))
-
-    def test_zero_sigma(self):
-        (s,) = per_sample_sets([0], [0.0], 100)
-        assert set(np.flatnonzero(s.mask)) == {0}
-
-    def test_wide_window_clamps_at_range_edges(self):
-        (s,) = per_sample_sets([5], [4.25], 100)
-        assert set(np.flatnonzero(s.mask)) == set(range(0, 11))
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            per_sample_sets([1], [-0.1], 10)
 
 
 class TestConsumption:
