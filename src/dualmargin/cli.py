@@ -2,8 +2,11 @@
 
 Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``sweep``,
 ``mil-toy``.  Experiment commands read an optional JSON config
-(``--config``) layered over per-experiment defaults, with ``--seed``,
-``--out``, ``--alpha`` and ``--beta`` as flag-level overrides.
+(``--config``) layered over per-experiment defaults, with ``--seed`` and
+``--out`` as flag-level overrides; ``toy2d``, ``noise-recovery`` and
+``mil-toy`` also take ``--alpha`` and ``--beta`` for their ``loss``
+section (``sweep`` reads its weights from ``sweep.alpha_values`` and
+``sweep.beta_values``).
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input.
 """
@@ -41,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file layered over defaults")
         p.add_argument("--seed", type=int, help="replace the seed list with this single seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--alpha", type=float, help="dual-margin alpha override")
-        p.add_argument("--beta", type=float, help="dual-margin beta override")
+        if name != "sweep":
+            p.add_argument("--alpha", type=float, help="dual-margin alpha override")
+            p.add_argument("--beta", type=float, help="dual-margin beta override")
     return parser
 
 
@@ -79,10 +83,10 @@ def _cmd_experiment(command: str, args) -> int:
         cfg["seeds"] = [args.seed]
     if args.out:
         cfg["output_dir"] = args.out
-    if args.alpha is not None:
-        cfg.setdefault("loss", {})["alpha"] = args.alpha
-    if args.beta is not None:
-        cfg.setdefault("loss", {})["beta"] = args.beta
+    for key in ("alpha", "beta"):
+        # a loss section that is no object is left for run_experiment to reject
+        if getattr(args, key, None) is not None and isinstance(cfg["loss"], dict):
+            cfg["loss"][key] = getattr(args, key)
     cfg["experiment"] = experiment
     run_experiment(cfg)
     return EXIT_OK

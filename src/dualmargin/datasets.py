@@ -137,7 +137,7 @@ def make_ring(
 
 
 # bytes of one block of the (rows, C, dim) difference tensor
-_BLOCK_BYTES = 8 << 20
+_BLOCK_BYTES = 1 << 20
 
 
 def _min_pairwise_distance(means: np.ndarray) -> np.float64:
@@ -199,7 +199,7 @@ def make_gaussian_mixture(
     to ``seed``); pass the same ``means_seed`` with different ``seed``
     values to draw train/test splits of one fixed mixture.
 
-    The minimum distance is found in row blocks of about 8 MB, and the
+    The minimum distance is found in row blocks of about 1 MB, and the
     arrays are byte-identical to those of the one-shot form,
     ``np.linalg.norm(means[:, None] - means[None], axis=2)`` minimised
     off the diagonal, which holds a (C, C, dim) difference tensor.

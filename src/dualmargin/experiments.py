@@ -7,7 +7,9 @@ Wall-clock timings are therefore reported on stdout only, never in the
 artifacts.  All files are written atomically (temp file + rename): a
 write that fails or is interrupted leaves no temp file and no partial
 file, and the JSON files are streamed to disk as they are serialised, so
-the text of a C x C report is never held in memory.
+the text of a C x C report is never held in memory.  A report payload
+holds each run's confusion matrix as a 2-D integer array, not as lists of
+Python ints, and the JSON writer formats it row by row.
 
 Per output directory the runners emit:
 
@@ -364,9 +366,6 @@ def _json_chunks(value, pad: str):
             yield "[]"
             return
         inner = pad + "  "
-        if all(type(item) is int for item in value):  # confusion-matrix rows
-            yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
-            return
         yield "[" + inner
         for i, item in enumerate(value):
             if i:
@@ -388,8 +387,41 @@ def _json_chunks(value, pad: str):
             yield encode_basestring_ascii(key) + ": "
             yield from _json_chunks(item, inner)
         yield pad + "}"
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+        yield from _int_matrix_chunks(value, pad)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _IntTexts(dict):
+    """``sep + repr(v)`` per int ``v``, made on first lookup."""
+
+    def __init__(self, sep: str):
+        super().__init__()
+        self.sep = sep
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.sep + int.__repr__(value)
+        return text
+
+
+def _int_matrix_chunks(matrix: np.ndarray, pad: str):
+    """Yield the JSON text of ``matrix.tolist()`` for a 2-D integer array, one row at a time.
+
+    Elements are looked up in a table of their text, comma, line break
+    and indent included, with one entry per distinct value; a count matrix
+    holds few distinct values, so few ints are formatted.
+    """
+    if not matrix.shape[0]:
+        yield "[]"
+        return
+    inner = pad + "  "
+    table = _IntTexts("," + inner + "  ")
+    for i, row in enumerate(matrix):
+        text = "".join(map(table.__getitem__, row.tolist()))
+        # text[1:] drops the first element's comma
+        yield ("," if i else "[") + inner + ("[" + text[1:] + inner + "]" if text else "[]")
+    yield pad + "]"
 
 
 def _write_json(path, payload) -> None:
@@ -397,8 +429,10 @@ def _write_json(path, payload) -> None:
 
     The bytes are identical to that call's for any payload of str-keyed
     dicts, lists, tuples, str, int, float, bool and None (non-str keys
-    raise TypeError); the stdlib encoder formats an indented dump in pure
-    Python, one call per item, which is slow for C x C confusion matrices.
+    raise TypeError).  A payload may also hold 2-D integer arrays, such
+    as confusion matrices: each is written as its ``tolist()``, that is,
+    as ``json.dumps(..., default=np.ndarray.tolist)`` writes it, without
+    the C x C list of Python ints being built.
     The text is streamed to the file as it is produced, so no copy of the
     whole document is held in memory.  A value that cannot be written
     raises partway through; the temp file is then removed and ``path``
@@ -412,7 +446,7 @@ def _report_payload(report) -> dict:
     return {
         "train_curve": [float(v) for v in report.train_curve],
         "clean_test_accuracy": report.clean_test_accuracy,
-        "confusion_matrix": report.confusion_matrix.tolist(),
+        "confusion_matrix": report.confusion_matrix,
         "diagonal_mass": diagonal_mass(report.confusion_matrix),
         "mean_mass": report.mean_mass,
         "extras": report.extras,
@@ -502,13 +536,17 @@ def _fit_train(split, q, tc: TrainConfig):
     return train(train_ds, q, tc, test_data=test_ds)
 
 
-def _transition_and_q(cfg: dict):
-    """The noise spec's transition matrix and its support as Q."""
-    transition = build_transition(_noise_spec(cfg["noise"]), cfg["dataset"]["class_count"])
-    return transition, q_from_transition(transition)
+def _transition(cfg: dict):
+    """The noise spec's transition matrix.
+
+    A dense (C, C) float array (8 MB at C = 1000), so callers build it
+    where they need it and drop it at once: Q is its support, and each
+    split corrupts its labels with a fresh one.
+    """
+    return build_transition(_noise_spec(cfg["noise"]), cfg["dataset"]["class_count"])
 
 
-def _noisy_mixture_split(cfg: dict, seed: int, transition):
+def _noisy_mixture_split(cfg: dict, seed: int):
     """A (noisy train, clean test) split of one fixed mixture per seed."""
     ds = cfg["dataset"]
     # the test split shares the class means
@@ -520,7 +558,7 @@ def _noisy_mixture_split(cfg: dict, seed: int, transition):
         ds["class_count"], ds["dim"], ds["n_test_per_class"], ds["class_separation"],
         seed=seed + _TEST_SEED_OFFSET, means_seed=seed,
     )
-    noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
+    noisy = corrupt_labels(train_ds.clean_labels, _transition(cfg), seed)
     return train_ds.with_noisy_labels(noisy), test_ds
 
 
@@ -560,9 +598,9 @@ def _boundary_grid_text(model, resolution: int) -> str:
 
 def run_noise_recovery(cfg: dict) -> dict:
     """Corrupt a mixture per the noise spec, then compare CE vs dual-margin."""
-    transition, q = _transition_and_q(cfg)
+    q = q_from_transition(_transition(cfg))
     rows, result, _ = _run_ce_vs_dm(
-        cfg, q, lambda seed: _noisy_mixture_split(cfg, seed, transition), _fit_train,
+        cfg, q, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train,
         lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix), **report.mean_mass},
         ce_q=q,
     )
@@ -573,11 +611,11 @@ def run_noise_recovery(cfg: dict) -> dict:
 
 def run_sweep(cfg: dict) -> dict:
     """One dual-margin run per (alpha, beta) cell plus a CE baseline."""
-    transition, q = _transition_and_q(cfg)
+    q = q_from_transition(_transition(cfg))
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
     seeds = cfg["seeds"]
-    splits = {seed: _noisy_mixture_split(cfg, seed, transition) for seed in seeds}
+    splits = {seed: _noisy_mixture_split(cfg, seed) for seed in seeds}
 
     failures: list[dict] = []
     ce_accs = []

@@ -173,13 +173,13 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
         raise ValueError(f"labels out of range [0, {C})")
     rng = np.random.default_rng(seed)
     u = rng.random(clean.size)
-    cdf = np.cumsum(transition.probs, axis=1)
     out = np.empty_like(clean)
-    # one searchsorted per clean class, over that class's positions
+    # one CDF row and one searchsorted per clean class, over that class's
+    # positions; a row's cumsum has the bits of that row of the (C, C) one
     order = np.argsort(clean, kind="stable")
     bounds = np.searchsorted(clean[order], np.arange(C + 1))
     for c in np.flatnonzero(np.diff(bounds)):
         group = order[bounds[c] : bounds[c + 1]]
-        out[group] = np.searchsorted(cdf[c], u[group], side="right")
+        out[group] = np.searchsorted(np.cumsum(transition.probs[c]), u[group], side="right")
     np.minimum(out, C - 1, out=out)
     return out

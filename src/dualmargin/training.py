@@ -96,6 +96,7 @@ class TrainConfig:
 class ExperimentReport:
     """Metrics of one run: curve, accuracy, confusion, probability masses.
 
+    ``confusion_matrix`` is an int32 (C, C) array of counts.
     ``mean_mass`` holds the average probability allocated to the exact
     label, its plausible set, and the complement (only when a
     plausibility matrix was supplied at evaluation time).  ``wall_time``
@@ -278,10 +279,10 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     """Accuracy, confusion matrix, and probability-mass diagnostics.
 
     Predictions are argmax over logits with ties broken toward the lowest
-    class index.  The confusion matrix is indexed (true class, predicted
-    class) against the clean labels.  When ``q`` is given, the mean masses
-    of the exact label, its plausible set, and the complement are computed
-    w.r.t. the clean labels.
+    class index.  The confusion matrix holds int32 counts indexed (true
+    class, predicted class) against the clean labels.  When ``q`` is
+    given, the mean masses of the exact label, its plausible set, and the
+    complement are computed w.r.t. the clean labels.
 
     Rows are scored in blocks of about 2 MB of logits, of equal height.
     Every per-row result depends only on that row's logits, and each mean
@@ -318,7 +319,7 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
         masses[2, block] = probs.sum(axis=1)
     logits = probs = masks = None  # free the last block before the C x C matrix is made
 
-    confusion = np.zeros((C, C), dtype=int)
+    confusion = np.zeros((C, C), dtype=np.int32)
     np.add.at(confusion, (labels, preds), 1)
     accuracy = float((preds == labels).mean()) if n else 0.0
     mean_mass = None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmargin import LossParams, experiments, loss_from_logits, training
@@ -28,7 +28,10 @@ def loss_eval_files(tmp_path):
 
 
 def run_cli(args, capsys):
-    code = main([str(a) for a in args])
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -315,7 +318,9 @@ class TestExperimentCommands:
             ("sweep", {"sweep": {"alpha_values": [0.1, "1"]}}, "sweep.alpha_values"),
             ("sweep", {"sweep": {"beta_values": 1.0}}, "sweep.beta_values"),
             ("toy2d", {"window": "2"}, "window"),
-            ("sweep --alpha 5 --beta 7", {}, "loss"),  # the sweep reads no loss section
+            # the sweep reads no loss section, so it has no --alpha or --beta
+            ("sweep --alpha 5 --beta 7", {}, "unrecognized arguments: --alpha 5 --beta 7"),
+            ("toy2d --alpha 2", {"loss": 5}, "loss"),
         ],
     )
     def test_section_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -416,10 +421,22 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# 2-D int32 and int64 arrays, empty sides and int32's extremes included
+_INT_MATRICES = st.builds(
+    lambda dtype, shape, data: np.resize(np.asarray(data, dtype=dtype), shape),
+    st.sampled_from([np.int32, np.int64]),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.lists(
+        st.integers(-(2**31), 2**31 - 1) | st.sampled_from([0, 1, -1, -(2**31), 2**31 - 1]), min_size=1, max_size=16
+    ),
+)
+
+
 class TestReportWriter:
     @staticmethod
     def dumps(payload) -> bytes:
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        # an array is written as its tolist(); a payload without one is unaffected
+        return (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n").encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(payload=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
@@ -428,7 +445,30 @@ class TestReportWriter:
         experiments._write_json(path, payload)
         assert path.read_bytes() == self.dumps(payload)
 
-    @pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 0}}, {"a": object()}, [{"b": b"x"}]])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        payload=st.dictionaries(
+            _JSON_KEYS,
+            _INT_MATRICES
+            | st.lists(_INT_MATRICES, max_size=3)
+            | st.dictionaries(_JSON_KEYS, _INT_MATRICES | _JSON_VALUES, max_size=3),
+            max_size=4,
+        )
+    )
+    @example({"a": np.zeros((0, 3), dtype=np.int32), "b": np.zeros((3, 0), dtype=np.int64)})
+    @example({"a": [np.array([[2**31 - 1]], dtype=np.int32), np.array([[-(2**31)]], dtype=np.int64)]})
+    def test_integer_arrays_equal_json_dumps_of_their_lists(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "arrays.json"
+        experiments._write_json(path, payload)
+        assert path.read_bytes() == self.dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {1: 2}, {"a": {None: 0}}, {"a": object()}, [{"b": b"x"}],
+            {"a": np.zeros(3, dtype=int)}, {"a": np.zeros((2, 2))},  # only 2-D integer arrays are written
+        ],
+    )
     def test_unsupported_payload_raises_type_error(self, tmp_path, payload):
         with pytest.raises(TypeError):
             experiments._write_json(tmp_path / "x.json", payload)
@@ -454,8 +494,9 @@ class TestReportWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_is_independent_of_the_text_size(self, tmp_path):
-        # about 11 MB of text, the shape of a C = 1000 confusion matrix
-        payload = {"confusion_matrix": [[(i * j) % 1000 for j in range(1000)] for i in range(1000)]}
+        # about 11 MB of text, a C = 1000 confusion matrix as evaluate makes it
+        matrix = np.fromfunction(lambda i, j: (i * j) % 1000, (1000, 1000), dtype=np.int32)
+        payload = {"confusion_matrix": matrix}
         tracemalloc.start()
         try:
             experiments._write_json(tmp_path / "report.json", payload)
@@ -496,6 +537,31 @@ class TestReportWriter:
         assert len(written) == 2 * len(tiny)  # report.json and manifest.json per family
         for path, payload in written:
             assert path.read_bytes() == self.dumps(payload), path
+
+
+def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
+    """At C = 1000 a run's memory is its C x C arrays: the transition matrix
+    (8 MB) lives only while labels are corrupted, and the confusion matrix is
+    kept and written as an int32 array, never as a list of Python ints."""
+    cfg = experiments.merge_config(
+        experiments.default_config("noise_recovery"),
+        {
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+            "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2},
+            "train": {"epochs": 1},
+        },
+    )
+    tracemalloc.start()
+    try:
+        experiments.run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["runs"]["dual_margin"]["0"]["confusion_matrix"]) == 1000
+    assert peak <= 20 << 20
 
 
 # run in a fresh interpreter: perfbench/child.py wraps module attributes

@@ -183,6 +183,41 @@ class TestCorruption:
         assert out.dtype == expected.dtype and out.shape == (n,)
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NoiseSpec("column", 0.6),
+            NoiseSpec("asymmetric_pairs", 0.4, pairs=[(0, 1), (3, 2), (7, 0)]),
+            NoiseSpec("cyclic_superclass", 0.3, group_size=4),
+            NoiseSpec("block_superclass", 0.6, group_size=4),
+        ],
+        ids=lambda spec: spec.topology,
+    )
+    def test_equals_the_dense_cdf_formula_up_to_the_clamp(self, monkeypatch, spec):
+        C = 12
+        probs = build_transition(spec, C).probs.copy()
+        short = 5  # a row summing to 1 - 1e-13, inside the row-sum tolerance
+        probs[short, np.argmax(probs[short])] -= 1e-13
+        t = TransitionMatrix(probs)
+        labels = np.random.default_rng(1).integers(0, C, size=3000)
+        u = np.random.default_rng(2).random(labels.size)
+        # draws above the short row's last CDF value fall past its end
+        u[np.flatnonzero(labels == short)[:3]] = [1.0 - 1e-13, 1.0 - 1e-14, np.nextafter(1.0, 0.0)]
+
+        class FixedDraws:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
+        out = corrupt_labels(labels, t, seed=0)
+        cdf = np.cumsum(probs, axis=1)  # the dense (C, C) form
+        expected = np.minimum([np.searchsorted(cdf[c], ui, side="right") for c, ui in zip(labels, u)], C - 1)
+        np.testing.assert_array_equal(out, expected)
+        past_end = (labels == short) & (u >= cdf[short, -1])
+        assert past_end.sum() >= 2  # the clamp is reached
+        assert np.all(out[past_end] == C - 1)
+
     def test_out_of_range_labels_rejected(self):
         t = build_transition(NoiseSpec("column", 0.6), 10)
         with pytest.raises(ValueError):

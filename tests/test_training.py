@@ -197,6 +197,7 @@ class TestEvaluate:
         model, _ = train(data, None, cfg)
         report = evaluate(model, test)
         counts = np.bincount(test.clean_labels, minlength=test.class_count)
+        assert report.confusion_matrix.dtype == np.int32
         np.testing.assert_array_equal(report.confusion_matrix.sum(axis=1), counts)
 
     def test_near_perfect_model_has_diagonal_confusion(self):
@@ -333,8 +334,8 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the C x C confusion matrix (8 MB) is made after the last block's
-        # logits and probabilities (2 MB each) are released
+        # the int32 C x C confusion matrix (4 MB) is made after the last
+        # block's logits and probabilities (2 MB each) are released
         assert peak <= C * C * 8 + (2 << 20)
 
     def test_diagonal_mass_of_identity_confusion(self):
