@@ -6,10 +6,12 @@ seeds, so rerunning a command reproduces the metric files byte for byte.
 Wall-clock timings are therefore reported on stdout only, never in the
 artifacts.  All files are written atomically (temp file + rename): a
 write that fails or is interrupted leaves no temp file and no partial
-file, and the JSON files are streamed to disk as they are serialised, so
-the text of a C x C report is never held in memory.  A report payload
-holds each run's confusion matrix as a 2-D integer array, not as lists of
-Python ints, and the JSON writer formats it row by row.
+file.  A report payload holds each run's confusion matrix as a 2-D
+integer array, not as lists of Python ints.  The JSON writer takes the
+text around those arrays from one ``json.dumps`` call and streams only
+the arrays' text to disk, row by row, so the text of a C x C report is
+never held in memory; a value it cannot write raises before any byte is
+written.
 
 Per output directory the runners emit:
 
@@ -32,12 +34,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 from collections.abc import Iterable
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -197,27 +197,29 @@ def merge_config(base: dict, override: dict) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check experiment-level consistency before any computation starts."""
+    """Check experiment-level consistency before any computation starts.
+
+    A config holds the keys of its family's defaults, at the top level and
+    in each section (the objects among them), each of its default's type.
+    The noise section may also set ``sinks``, ``pairs`` and ``group_size``.
+    """
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    seeds = cfg.get("seeds")
+    defaults = _DEFAULTS[experiment]
+    _check_keys("", cfg, defaults)
+    seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
         raise ValueError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
-    if not cfg.get("output_dir"):
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must not repeat a seed, got {seeds!r}")
+    if not cfg["output_dir"]:
         raise ValueError("output_dir must be set")
-    # a family reads the keys of its defaults, and its sections are the objects
-    defaults = _DEFAULTS[experiment]
-    unknown = sorted(set(cfg) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} for {experiment}; known keys are {sorted(defaults)}")
     sections = [key for key, value in defaults.items() if isinstance(value, dict)]
     for section in sections:
-        if not isinstance(cfg.get(section), dict):
-            raise ValueError(f"{section} must be an object, got {cfg.get(section)!r}")
-    unknown = sorted(set(cfg["train"]) - set(_BASE_TRAIN))
-    if unknown:
-        raise ValueError(f"unknown train key {unknown[0]!r}; known keys are {sorted(_BASE_TRAIN)}")
+        if not isinstance(cfg[section], dict):
+            raise ValueError(f"{section} must be an object, got {cfg[section]!r}")
+        _check_keys(f"{section}.", cfg[section], defaults[section], _NOISE_LAYOUT if section == "noise" else ())
     for key, value in cfg.items():
         _check_finite(key, value)
         if key not in sections:
@@ -231,19 +233,28 @@ def validate_config(cfg: dict) -> dict:
     if "noise" in sections:
         _noise_spec(cfg["noise"])
     if "loss" in sections:
-        loss = cfg["loss"]
-        LossParams(alpha=loss.get("alpha", 1.0), beta=loss.get("beta", 0.0))
+        LossParams(cfg["loss"]["alpha"], cfg["loss"]["beta"])
+    if experiment == "toy2d" and cfg["grid_resolution"] < 1:
+        raise ValueError(f"grid_resolution must be >= 1, got {cfg['grid_resolution']!r}")
     if experiment == "sweep":
-        grid = cfg["sweep"]
-        alphas, betas = grid.get("alpha_values"), grid.get("beta_values")
-        for name, values in (("alpha_values", alphas), ("beta_values", betas)):
-            if not isinstance(values, list) or not values:
+        for name, values in cfg["sweep"].items():
+            if not values:
                 raise ValueError(f"sweep.{name} must be a nonempty list")
             for value in values:
                 _check_type(f"sweep.{name} element", value, float)
             if any(v < 0 for v in values):
                 raise ValueError(f"sweep.{name} must be non-negative")
     return cfg
+
+
+def _check_keys(prefix: str, doc: dict, expected: dict, optional=()) -> None:
+    """``doc`` holds every key of ``expected`` and no key outside it and ``optional``."""
+    for key in doc:
+        if key not in expected and key not in optional:
+            raise ValueError(f"unknown config key '{prefix}{key}'; known keys are {sorted([*expected, *optional])}")
+    for key in expected:
+        if key not in doc:
+            raise ValueError(f"missing config key '{prefix}{key}'")
 
 
 def _check_type(where: str, value, expected: type) -> None:
@@ -271,20 +282,29 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# the noise section's optional layout keys
+_NOISE_LAYOUT = ("sinks", "pairs", "group_size")
+
+
 def _noise_spec(doc: dict) -> NoiseSpec:
-    pairs = doc.get("pairs")
-    if pairs is not None:
-        pairs = [tuple(p) for p in pairs]
-    sinks = doc.get("sinks")
-    if sinks is not None:
-        sinks = tuple(sinks)
+    sinks, pairs, group_size = (doc.get(key) for key in _NOISE_LAYOUT)
+    if sinks is not None and not _is_int_pair(sinks):
+        raise ValueError(f"noise.sinks must be a list of two integers, got {sinks!r}")
+    if pairs is not None and not (isinstance(pairs, list) and all(map(_is_int_pair, pairs))):
+        raise ValueError(f"noise.pairs must be a list of [source, destination] integer pairs, got {pairs!r}")
+    if group_size is not None:
+        _check_type("noise.group_size", group_size, int)
     return NoiseSpec(
         topology=doc["topology"],
         eta=doc["eta"],
-        sinks=sinks,
-        pairs=pairs,
-        group_size=doc.get("group_size"),
+        sinks=None if sinks is None else tuple(sinks),
+        pairs=None if pairs is None else [tuple(p) for p in pairs],
+        group_size=group_size,
     )
+
+
+def _is_int_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -333,66 +353,6 @@ def _write_metrics_csv(out_dir: Path, rows: list[dict]) -> None:
     atomic_write_text(out_dir / "metrics.csv", buf.getvalue())
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_chunks(value, pad: str):
-    """Yield the JSON text of ``value`` piece by piece; ``pad`` is its line break and indent.
-
-    Types are checked in the order of the stdlib encoder, so a bool is
-    never written as an int and a float subclass is written as a float.
-    """
-    if isinstance(value, str):
-        yield encode_basestring_ascii(value)
-    elif value is None:
-        yield "null"
-    elif value is True:
-        yield "true"
-    elif value is False:
-        yield "false"
-    elif isinstance(value, int):
-        yield int.__repr__(value)
-    elif isinstance(value, float):
-        yield _json_float(value)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        inner = pad + "  "
-        yield "[" + inner
-        for i, item in enumerate(value):
-            if i:
-                yield "," + inner
-            yield from _json_chunks(item, inner)
-        yield pad + "]"
-    elif isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        inner = pad + "  "
-        yield "{" + inner
-        for i, (key, item) in enumerate(sorted(value.items())):
-            if i:
-                yield "," + inner
-            yield encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(item, inner)
-        yield pad + "}"
-    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
-        yield from _int_matrix_chunks(value, pad)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 class _IntTexts(dict):
     """``sep + repr(v)`` per int ``v``, made on first lookup."""
 
@@ -424,21 +384,43 @@ def _int_matrix_chunks(matrix: np.ndarray, pad: str):
     yield pad + "]"
 
 
+# stands in for each integer array in the json.dumps text of a payload
+_MARK = "\0int matrix\0"
+
+
 def _write_json(path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
-    The bytes are identical to that call's for any payload of str-keyed
-    dicts, lists, tuples, str, int, float, bool and None (non-str keys
-    raise TypeError).  A payload may also hold 2-D integer arrays, such
-    as confusion matrices: each is written as its ``tolist()``, that is,
-    as ``json.dumps(..., default=np.ndarray.tolist)`` writes it, without
-    the C x C list of Python ints being built.
-    The text is streamed to the file as it is produced, so no copy of the
-    whole document is held in memory.  A value that cannot be written
-    raises partway through; the temp file is then removed and ``path``
-    keeps what it held before.
+    A payload may also hold 2-D integer arrays, such as confusion
+    matrices: each is written as its ``tolist()``, that is, as
+    ``json.dumps(..., default=np.ndarray.tolist)`` writes it, without the
+    C x C list of Python ints being built.  The text around the arrays
+    comes from one ``json.dumps`` call with a marker string in each
+    array's place; only the arrays' text is streamed to the file.  Any
+    other value json cannot write raises TypeError, and a payload string
+    that holds the marker raises ValueError, both before a byte is
+    written: ``path`` then keeps what it held before.
     """
-    atomic_write_text(path, itertools.chain(_json_chunks(payload, "\n"), ("\n",)))
+    arrays = []
+
+    def mark(value):
+        if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+            arrays.append(value)
+            return _MARK
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    pieces = json.dumps(payload, indent=2, sort_keys=True, default=mark).split(json.dumps(_MARK))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("a string in the payload holds the integer array marker")
+
+    def chunks():
+        for piece, matrix in zip(pieces, arrays):
+            yield piece
+            line = piece[piece.rfind("\n") + 1:]
+            yield from _int_matrix_chunks(matrix, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+        yield pieces[-1] + "\n"
+
+    atomic_write_text(path, chunks())
 
 
 def _report_payload(report) -> dict:
@@ -573,13 +555,13 @@ def run_toy2d(cfg: dict) -> dict:
             make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
         )
 
-    q = q_ordinal(C, int(cfg.get("window", 1)), boundary="wrap")
+    q = q_ordinal(C, cfg["window"], boundary="wrap")
     rows, result, first_models = _run_ce_vs_dm(
         cfg, q, ring_split, _fit_train,
         lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix)},
     )
     out_dir = Path(cfg["output_dir"])
-    resolution = int(cfg.get("grid_resolution", 60))
+    resolution = cfg["grid_resolution"]
     for method, model in first_models.items():
         atomic_write_text(out_dir / f"boundary_grid_{method}.txt", _boundary_grid_text(model, resolution))
     _persist(out_dir, cfg, rows, result)
@@ -697,7 +679,7 @@ def run_mil_toy(cfg: dict) -> dict:
     def bags_for_seed(seed):
         return make_mil_bags(
             ds["n_bags"], ds["bag_size"], ds["positive_instance_rate"],
-            dim=ds.get("dim", 2), seed=seed, separation=ds.get("separation", 3.0),
+            dim=ds["dim"], seed=seed, separation=ds["separation"],
         )
 
     rows, result, _ = _run_ce_vs_dm(

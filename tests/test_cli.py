@@ -291,6 +291,10 @@ class TestExperimentCommands:
             ({"train": {"epoch": 3}}, "epoch"),
             ({"dataset": None}, "dataset"),
             ({"epochs": 3}, "epochs"),  # a train key at the top level
+            # a key a section does not have
+            ({"loss": {"alpah": 3}}, "loss.alpah"),
+            ({"noise": {"topolgy": "x", "eta": 0.2}}, "noise.topolgy"),
+            ({"dataset": {"class_cnt": 5}}, "dataset.class_cnt"),
         ],
     )
     def test_bad_config_section_exits_2_naming_key(self, tmp_path, capsys, doc, key):
@@ -321,6 +325,15 @@ class TestExperimentCommands:
             # the sweep reads no loss section, so it has no --alpha or --beta
             ("sweep --alpha 5 --beta 7", {}, "unrecognized arguments: --alpha 5 --beta 7"),
             ("toy2d --alpha 2", {"loss": 5}, "loss"),
+            ("sweep", {"sweep": {"alpha": [1.0]}}, "sweep.alpha"),
+            # the noise layout keys
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": 5}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": [[0]]}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": [[0, 1.0]]}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"sinks": 3}}, "noise.sinks"),
+            ("sweep", {"noise": {"sinks": [1, 2, 3]}}, "noise.sinks"),
+            ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": "5"}}, "noise.group_size"),
+            ("noise-recovery", {"noise": {"topology": "cyclic_superclass", "group_size": 2.5}}, "noise.group_size"),
         ],
     )
     def test_section_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -342,6 +355,9 @@ class TestExperimentCommands:
             ("noise-recovery", {"noise": {"eta": math.inf}}, "noise.eta"),
             ("sweep", {"sweep": {"alpha_values": [0.1, math.nan]}}, "sweep.alpha_values"),
             ("toy2d", {"grid_resolution": math.nan}, "grid_resolution"),
+            ("toy2d", {"seeds": [0, 0]}, "seeds"),  # runs are keyed by seed
+            ("toy2d", {"grid_resolution": -1}, "grid_resolution"),
+            ("toy2d", {"grid_resolution": 0}, "grid_resolution"),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -349,6 +365,30 @@ class TestExperimentCommands:
         code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 2
         assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [
+            ("toy2d", "loss.alpha"),
+            ("toy2d", "window"),
+            ("toy2d", "grid_resolution"),
+            ("mil_toy", "dataset.dim"),
+            ("mil_toy", "dataset.separation"),
+            ("noise_recovery", "noise.eta"),
+            ("sweep", "sweep.beta_values"),
+            ("sweep", "train.momentum"),
+        ],
+    )
+    def test_config_missing_a_key_is_rejected_naming_it(self, tmp_path, experiment, key):
+        cfg = experiments.merge_config(experiments.default_config(experiment), {"output_dir": str(tmp_path / "o")})
+        *sections, name = key.split(".")
+        doc = cfg
+        for section in sections:
+            doc = doc[section]
+        del doc[name]
+        with pytest.raises(ValueError, match=f"missing config key '{key}'"):
+            experiments.run_experiment(cfg)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -462,23 +502,37 @@ class TestReportWriter:
         experiments._write_json(path, payload)
         assert path.read_bytes() == self.dumps(payload)
 
+    @pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 0}}])
+    def test_non_str_keys_are_written_as_json_dumps_writes_them(self, tmp_path, payload):
+        path = tmp_path / "x.json"
+        experiments._write_json(path, payload)
+        assert path.read_bytes() == self.dumps(payload)
+
     @pytest.mark.parametrize(
         "payload",
         [
-            {1: 2}, {"a": {None: 0}}, {"a": object()}, [{"b": b"x"}],
-            {"a": np.zeros(3, dtype=int)}, {"a": np.zeros((2, 2))},  # only 2-D integer arrays are written
+            {"a": object()}, [{"b": b"x"}],
+            # only 2-D integer arrays are written
+            {"a": np.zeros(3, dtype=int)}, {"a": np.zeros((2, 2))}, {"a": np.zeros((1, 1, 1), dtype=int)},
+            {"a": np.int64(1)},  # a numpy integer is no int
         ],
     )
     def test_unsupported_payload_raises_type_error(self, tmp_path, payload):
         with pytest.raises(TypeError):
             experiments._write_json(tmp_path / "x.json", payload)
 
+    @pytest.mark.parametrize("text", [experiments._MARK, '"' + experiments._MARK], ids=["marker", "quote-marker"])
+    def test_payload_string_holding_the_marker_raises_and_writes_nothing(self, tmp_path, text):
+        payload = {"a": np.eye(2, dtype=np.int32), "b": [text]}
+        with pytest.raises(ValueError, match="marker"):
+            experiments._write_json(tmp_path / "x.json", payload)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "report.json"
         experiments._write_json(path, {"ok": 1})
         before = path.read_bytes()
-        # sorted keys put the long list first, so text reaches the temp file
-        # before the bad value is met
+        # json.dumps meets the bad value before any text reaches the temp file
         with pytest.raises(TypeError):
             experiments._write_json(path, {"a": list(range(100_000)), "b": object()})
         assert path.read_bytes() == before
