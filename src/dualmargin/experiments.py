@@ -20,13 +20,13 @@ Per output directory the runners emit:
 * ``manifest.json`` -- config hash, seed list, library version
 * experiment-specific plot data (boundary grids, heatmap matrix)
 
-``toy2d``, ``noise_recovery`` and ``mil_toy`` run through one CE-vs-dual-
-margin driver, :func:`_run_ce_vs_dm`.  Their ``report.json`` holds
-``runs`` (``{method: {seed: metrics}}``), ``failures`` and ``summary``
-(``{method: {column: {mean, std}}}`` over the metrics.csv score columns
-the family fills, leaving out a method with no completed run).  A
-diverged run is recorded in ``failures`` and the others go on.  The
-config hash leaves out ``output_dir``.
+All four families train through one driver, :func:`_run_methods`: each
+method per seed, a diverged run recorded in ``failures`` while the others
+go on.  The ``report.json`` of every family but ``sweep`` holds ``runs``
+(``{method: {seed: metrics}}``), ``failures`` and ``summary`` (``{method:
+{column: {mean, std}}}`` over the metrics.csv score columns the family
+fills, leaving out a method with no completed run).  The config hash
+leaves out ``output_dir``.
 """
 
 from __future__ import annotations
@@ -228,6 +228,11 @@ def validate_config(cfg: dict) -> dict:
         for name, item in value.items():
             if name in defaults[key]:
                 _check_type(f"{key}.{name}", item, type(defaults[key][name]))
+    for name, value in cfg["dataset"].items():
+        # sizes and counts are at least 1; scales, spreads and rates not negative
+        low = 1 if type(defaults["dataset"][name]) is int else 0
+        if value < low:
+            raise ValueError(f"dataset.{name} must be >= {low}, got {value!r}")
     # building these raises ValueError on bad values
     TrainConfig(seed=0, **cfg["train"])
     if "noise" in sections:
@@ -244,6 +249,8 @@ def validate_config(cfg: dict) -> dict:
                 _check_type(f"sweep.{name} element", value, float)
             if any(v < 0 for v in values):
                 raise ValueError(f"sweep.{name} must be non-negative")
+            if len(set(values)) < len(values):  # each cell is keyed by its values
+                raise ValueError(f"sweep.{name} must not repeat a value, got {values!r}")
     return cfg
 
 
@@ -456,46 +463,50 @@ def _train_config(cfg: dict, seed: int, loss: str, loss_params: LossParams | Non
 _SCORE_COLUMNS = METRIC_COLUMNS[METRIC_COLUMNS.index("accuracy"):]
 
 
-def _run_ce_vs_dm(cfg: dict, q, data_for_seed, fit, row_metrics, ce_q=None):
-    """Train cross-entropy (with ``ce_q``) and dual-margin (with ``q``) per seed.
+def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
+    """Train each method per seed; ``methods`` maps a name to ``(loss, weights, q)``.
 
-    ``data_for_seed(seed)`` builds a seed's data, ``fit(data, q, tc)``
-    returns ``(model, report)`` and ``row_metrics(report)`` the family's
-    extra metrics.csv columns.  Returns the rows, the report (runs,
-    summary, failures) and the first seed's model per completed method.
+    ``weights`` is the dual-margin ``(alpha, beta)``, or None for CE.  A
+    name is a string, or a sweep cell's ``(alpha, beta)``, whose failures
+    hold ``alpha`` and ``beta`` instead.  Weights LossParams rejects
+    (alpha = beta = 0) and diverged runs are failures.  ``fit(data, q, tc)``
+    returns ``(model, report)`` and ``row_metrics(report)`` the extra
+    metrics.csv columns.  Returns the rows, the report (runs, summary,
+    failures) and the first seed's model per completed method.
     """
     experiment = cfg["experiment"]
-    alpha, beta = cfg["loss"]["alpha"], cfg["loss"]["beta"]
-    # per method: loss, loss parameters, Q, and the alpha and beta of its rows
-    methods = {
-        "ce": ("cross_entropy", None, ce_q, 1.0, 0.0),
-        "dual_margin": ("dual_margin", LossParams(alpha, beta), q, alpha, beta),
-    }
     rows: list[dict] = []
-    runs: dict[str, dict] = {method: {} for method in methods}
+    runs: dict = {method: {} for method in methods}
     failures: list[dict] = []
-    first_models: dict[str, object] = {}
+    first_models: dict = {}
 
     for seed in cfg["seeds"]:
         data = data_for_seed(seed)
-        for method, (loss, loss_params, q_arg, row_alpha, row_beta) in methods.items():
+        for method, (loss, weights, q) in methods.items():
+            name = {"method": method} if isinstance(method, str) else dict(zip(("alpha", "beta"), method))
             try:
-                model, report = fit(data, q_arg, _train_config(cfg, seed, loss, loss_params))
+                loss_params = None if weights is None else LossParams(*weights)
+            except ValueError as exc:
+                failures.append({**name, "seed": seed, "error": str(exc)})
+                continue
+            try:
+                model, report = fit(data, q, _train_config(cfg, seed, loss, loss_params))
             except TrainingDivergedError as exc:
-                failures.append({"seed": seed, "method": method, "error": str(exc)})
+                failures.append({**name, "seed": seed, "error": str(exc)})
                 continue
             print(
                 f"[{experiment}] seed={seed} method={method} "
                 f"acc={report.clean_test_accuracy:.4f} wall={report.wall_time:.2f}s"
             )
             runs[method][str(seed)] = _report_payload(report)
+            alpha, beta = weights or (1.0, 0.0)
             rows.append(
                 {
                     "experiment": experiment,
                     "seed": seed,
                     "method": method,
-                    "alpha": row_alpha,
-                    "beta": row_beta,
+                    "alpha": alpha,
+                    "beta": beta,
                     "accuracy": report.clean_test_accuracy,
                     **row_metrics(report),
                 }
@@ -510,6 +521,12 @@ def _run_ce_vs_dm(cfg: dict, q, data_for_seed, fit, row_metrics, ce_q=None):
             summary[method] = {col: _mean_std([row[col] for row in done]) for col in _SCORE_COLUMNS if col in done[0]}
     result = {"experiment": experiment, "runs": runs, "summary": summary, "failures": failures}
     return rows, result, first_models
+
+
+def _ce_and_dm(cfg: dict, q, ce_q=None) -> dict:
+    """``methods`` for cross-entropy (with ``ce_q``) against dual-margin (with ``q``) at the config's weights."""
+    weights = (cfg["loss"]["alpha"], cfg["loss"]["beta"])
+    return {"ce": ("cross_entropy", None, ce_q), "dual_margin": ("dual_margin", weights, q)}
 
 
 def _fit_train(split, q, tc: TrainConfig):
@@ -556,8 +573,8 @@ def run_toy2d(cfg: dict) -> dict:
         )
 
     q = q_ordinal(C, cfg["window"], boundary="wrap")
-    rows, result, first_models = _run_ce_vs_dm(
-        cfg, q, ring_split, _fit_train,
+    rows, result, first_models = _run_methods(
+        cfg, _ce_and_dm(cfg, q), ring_split, _fit_train,
         lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix)},
     )
     out_dir = Path(cfg["output_dir"])
@@ -581,10 +598,9 @@ def _boundary_grid_text(model, resolution: int) -> str:
 def run_noise_recovery(cfg: dict) -> dict:
     """Corrupt a mixture per the noise spec, then compare CE vs dual-margin."""
     q = q_from_transition(_transition(cfg))
-    rows, result, _ = _run_ce_vs_dm(
-        cfg, q, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train,
+    rows, result, _ = _run_methods(
+        cfg, _ce_and_dm(cfg, q, ce_q=q), lambda seed: _noisy_mixture_split(cfg, seed), _fit_train,
         lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix), **report.mean_mass},
-        ce_q=q,
     )
     result["noise"] = cfg["noise"]
     _persist(Path(cfg["output_dir"]), cfg, rows, result)
@@ -592,81 +608,39 @@ def run_noise_recovery(cfg: dict) -> dict:
 
 
 def run_sweep(cfg: dict) -> dict:
-    """One dual-margin run per (alpha, beta) cell plus a CE baseline."""
+    """A CE baseline and one dual-margin method per (alpha, beta) cell, through :func:`_run_methods`.
+
+    metrics.csv, the heatmap and the report hold each cell's and the
+    baseline's accuracy averaged over the seeds that completed; one with
+    none gets no row, ``nan`` in the heatmap and ``null`` in the report.
+    """
     q = q_from_transition(_transition(cfg))
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
-    seeds = cfg["seeds"]
-    splits = {seed: _noisy_mixture_split(cfg, seed) for seed in seeds}
-
-    failures: list[dict] = []
-    ce_accs = []
-    for seed in seeds:
-        noisy_ds, test_ds = splits[seed]
-        try:
-            _, report = train(noisy_ds, None, _train_config(cfg, seed, "cross_entropy"), test_data=test_ds)
-        except TrainingDivergedError as exc:
-            failures.append({"method": "ce", "seed": seed, "error": str(exc)})
-            continue
-        ce_accs.append(report.clean_test_accuracy)
-    ce_mean = float(np.mean(ce_accs)) if ce_accs else None
-    print(f"[sweep] ce baseline acc={ce_mean:.4f}" if ce_accs else "[sweep] ce baseline failed on every seed")
-
-    grid = np.full((len(alphas), len(betas)), np.nan)
-    rows: list[dict] = []
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            accs = []
-            try:
-                params = LossParams(alpha, beta)
-            except ValueError as exc:  # the degenerate alpha = beta = 0 cell
-                failures.extend({"alpha": alpha, "beta": beta, "seed": seed, "error": str(exc)} for seed in seeds)
-                continue
-            for seed in seeds:
-                noisy_ds, test_ds = splits[seed]
-                tc = _train_config(cfg, seed, "dual_margin", params)
-                try:
-                    _, report = train(noisy_ds, q, tc, test_data=test_ds)
-                except TrainingDivergedError as exc:
-                    failures.append({"alpha": alpha, "beta": beta, "seed": seed, "error": str(exc)})
-                    continue
-                accs.append(report.clean_test_accuracy)
-            if accs:
-                grid[i, j] = float(np.mean(accs))
-                print(f"[sweep] alpha={alpha:g} beta={beta:g} acc={grid[i, j]:.4f}")
-                rows.append(
-                    {
-                        "experiment": "sweep",
-                        "seed": seeds[0] if len(seeds) == 1 else -1,
-                        "method": "dual_margin",
-                        "alpha": alpha,
-                        "beta": beta,
-                        "accuracy": grid[i, j],
-                    }
-                )
-    if ce_accs:
-        rows.append(
-            {
-                "experiment": "sweep",
-                "seed": seeds[0] if len(seeds) == 1 else -1,
-                "method": "ce",
-                "alpha": 1.0,
-                "beta": 0.0,
-                "accuracy": ce_mean,
-            }
-        )
+    methods = {"ce": ("cross_entropy", None, None)}
+    methods.update({(a, b): ("dual_margin", (a, b), q) for a in alphas for b in betas})
+    _, report, _ = _run_methods(cfg, methods, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train, lambda _: {})
+    mean = {method: scores["accuracy"]["mean"] for method, scores in report["summary"].items()}
+    grid = [[mean.get((a, b)) for b in betas] for a in alphas]
+    common = {"experiment": "sweep", "seed": cfg["seeds"][0] if len(cfg["seeds"]) == 1 else -1}
+    rows = [
+        {**common, "method": "dual_margin", "alpha": a, "beta": b, "accuracy": mean[a, b]}
+        for a in alphas for b in betas if (a, b) in mean
+    ]
+    if "ce" in mean:
+        rows.append({**common, "method": "ce", "alpha": 1.0, "beta": 0.0, "accuracy": mean["ce"]})
 
     out_dir = Path(cfg["output_dir"])
-    heat_lines = [" ".join(repr(float(v)) for v in row) for row in grid]
+    heat_lines = [" ".join(repr(math.nan if v is None else v) for v in row) for row in grid]
     atomic_write_text(out_dir / "heatmap.txt", "\n".join(heat_lines) + "\n")
 
     result = {
         "experiment": "sweep",
         "alpha_values": alphas,
         "beta_values": betas,
-        "accuracy_grid": [[None if np.isnan(v) else float(v) for v in row] for row in grid],
-        "ce_baseline": ce_mean,
-        "failures": failures,
+        "accuracy_grid": grid,
+        "ce_baseline": mean.get("ce"),
+        "failures": report["failures"],
     }
     _persist(out_dir, cfg, rows, result)
     return result
@@ -682,8 +656,8 @@ def run_mil_toy(cfg: dict) -> dict:
             dim=ds["dim"], seed=seed, separation=ds["separation"],
         )
 
-    rows, result, _ = _run_ce_vs_dm(
-        cfg, q_mil(), bags_for_seed, lambda bags, q, tc: (None, train_mil_instances(bags, tc, q=q)),
+    rows, result, _ = _run_methods(
+        cfg, _ce_and_dm(cfg, q_mil()), bags_for_seed, lambda bags, q, tc: (None, train_mil_instances(bags, tc, q=q)),
         lambda report: {"recall_negative_in_positive_bags": report.extras["recall_negative_in_positive_bags"]},
     )
     _persist(Path(cfg["output_dir"]), cfg, rows, result)

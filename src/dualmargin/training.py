@@ -43,7 +43,7 @@ SCHEDULES = ("constant", "cosine")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a training step produces a non-finite loss."""
+    """Raised when a run's logits, loss or weights, or its evaluation logits, are non-finite."""
 
 
 @dataclass
@@ -200,8 +200,8 @@ def train(
     Evaluation runs on ``test_data`` when given, else on the training
     features.
 
-    Raises :class:`TrainingDivergedError` on non-finite logits or loss, or
-    on non-finite weights at the end.
+    Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
+    non-finite weights at the end, or on non-finite evaluation logits.
     """
     start = time.perf_counter()
     X = data.features
@@ -282,7 +282,9 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     class index.  The confusion matrix holds int32 counts indexed (true
     class, predicted class) against the clean labels.  When ``q`` is
     given, the mean masses of the exact label, its plausible set, and the
-    complement are computed w.r.t. the clean labels.
+    complement are computed w.r.t. the clean labels.  A non-finite logit,
+    which finite but huge weights can give, raises
+    :class:`TrainingDivergedError`.
 
     Rows are scored in blocks of about 2 MB of logits, of equal height.
     Every per-row result depends only on that row's logits, and each mean
@@ -299,24 +301,30 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     height = -(-n // blocks) if n else 1
     preds = np.empty(n, dtype=np.intp)
     masses = None if q is None else np.empty((3, n))
-    for lo in range(0, n, height):
-        block = slice(lo, lo + height)
-        logits = predict_logits(model, X[block])
-        preds[block] = np.argmax(logits, axis=1)
-        if masses is None:
-            continue
-        block_labels = labels[block]
-        probs = softmax(logits, axis=1)
-        masks = sets_from_q(q, block_labels)
-        masses[0, block] = probs[np.arange(block_labels.size), block_labels]
-        # the masked sums reuse spent arrays: the logits, then probs.
-        # copyto keeps np.where's semantics; a product with the masks would
-        # spread NaN and inf
-        logits.fill(0.0)
-        np.copyto(logits, probs, where=masks)
-        masses[1, block] = logits.sum(axis=1)
-        np.copyto(probs, 0.0, where=masks)
-        masses[2, block] = probs.sum(axis=1)
+    # finite weights may overflow the logits, which raises below, and finite
+    # logits the softmax's shift, to -inf, whose exp is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, height):
+            block = slice(lo, lo + height)
+            logits = predict_logits(model, X[block])
+            # a NaN logit makes both NaN; no (n, C) temporary is made
+            if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
+                raise TrainingDivergedError(f"non-finite logits at evaluation, row offset {lo}")
+            preds[block] = np.argmax(logits, axis=1)
+            if masses is None:
+                continue
+            block_labels = labels[block]
+            probs = softmax(logits, axis=1)
+            masks = sets_from_q(q, block_labels)
+            masses[0, block] = probs[np.arange(block_labels.size), block_labels]
+            # the masked sums reuse spent arrays: the logits, then probs.
+            # copyto keeps np.where's semantics; a product with the masks would
+            # spread NaN and inf
+            logits.fill(0.0)
+            np.copyto(logits, probs, where=masks)
+            masses[1, block] = logits.sum(axis=1)
+            np.copyto(probs, 0.0, where=masks)
+            masses[2, block] = probs.sum(axis=1)
     logits = probs = masks = None  # free the last block before the C x C matrix is made
 
     confusion = np.zeros((C, C), dtype=np.int32)

@@ -358,6 +358,16 @@ class TestExperimentCommands:
             ("toy2d", {"seeds": [0, 0]}, "seeds"),  # runs are keyed by seed
             ("toy2d", {"grid_resolution": -1}, "grid_resolution"),
             ("toy2d", {"grid_resolution": 0}, "grid_resolution"),
+            # cells are keyed by their values
+            ("sweep", {"sweep": {"alpha_values": [0.1, 0.1]}}, "sweep.alpha_values"),
+            ("sweep", {"sweep": {"beta_values": [1, 1.0]}}, "sweep.beta_values"),
+            # dataset ints are >= 1, dataset floats >= 0
+            ("noise-recovery", {"dataset": {"n_test_per_class": 0}}, "dataset.n_test_per_class"),
+            ("toy2d", {"dataset": {"angular_noise_std": -1}}, "dataset.angular_noise_std"),
+            ("noise-recovery", {"dataset": {"class_separation": -4}}, "dataset.class_separation"),
+            ("noise-recovery", {"dataset": {"dim": 0}}, "dataset.dim"),
+            ("toy2d", {"dataset": {"n_per_class": 0}}, "dataset.n_per_class"),
+            ("mil-toy", {"dataset": {"bag_size": 0}}, "dataset.bag_size"),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -412,6 +422,51 @@ class TestExperimentCommands:
         assert [set(f) for f in ce_failures] == [{"method", "seed", "error"}]
         with open(out_dir / "metrics.csv", newline="") as fh:
             assert all(row["method"] != "ce" for row in csv.DictReader(fh))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_failures_run_seed_by_seed_ce_then_cells_in_grid_order(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seeds": [0, 1],
+                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                "train": {"epochs": 2, "learning_rate": 1e308},
+                "sweep": {"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]},
+            },
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["sweep", "--config", cfg, "--out", out_dir], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        failures = report["failures"]
+        names = [f.get("method", (f.get("alpha"), f.get("beta"))) for f in failures]
+        cells = [(a, b) for a in (0.0, 0.1) for b in (0.0, 1.0)]
+        assert [f["seed"] for f in failures] == [0] * 5 + [1] * 5
+        assert names == ["ce", *cells] * 2
+        assert [set(f) for f in failures] == (
+            [{"method", "seed", "error"}] + [{"alpha", "beta", "seed", "error"}] * 4
+        ) * 2
+        assert "both zero" in failures[1]["error"]
+        # (0, 1) at seed 1 trains to finite weights whose test logits overflow
+        assert failures[7]["error"].startswith("non-finite logits at evaluation")
+        assert report["ce_baseline"] is None
+        assert report["accuracy_grid"] == [[None, None], [None, None]]
+        assert (out_dir / "metrics.csv").read_text().count("\n") == 1  # the header alone
+        assert (out_dir / "heatmap.txt").read_text() == "nan nan\nnan nan\n"
+
+    def test_value_error_of_a_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise ValueError("dataset is empty")
+
+        monkeypatch.setattr(experiments, "train", failing_train)
+        cfg = write_config(
+            tmp_path,
+            {"seeds": [0], "train": {"epochs": 1}, "sweep": {"alpha_values": [0.0], "beta_values": [0.0, 1.0]}},
+        )
+        code, _, err = run_cli(["sweep", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert "dataset is empty" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -263,8 +263,11 @@ class TestEvaluate:
             model, _ = train(data, None, TrainConfig(learning_rate=0.1, epochs=3, batch_size=64, seed=2))
         else:
             model = init_model(kind if kind == "mlp1" else "linear", data.dim, 4, 8, np.random.default_rng(3))
-        if kind == "overflowing":  # logits of +-inf, so softmax gives NaN rows
+        if kind == "overflowing":  # finite weights, logits of +-inf: the run diverged, unscored
             model.weights[0] = np.sign(model.weights[0]) * 1e308
+            with pytest.raises(TrainingDivergedError, match="non-finite logits at evaluation"):
+                evaluate(model, test, q=q)
+            return
         with np.errstate(all="ignore"):
             report = evaluate(model, test, q=q)
             accuracy, confusion, masses = self.where_formula(model, test, q)
@@ -272,8 +275,6 @@ class TestEvaluate:
         np.testing.assert_array_equal(report.confusion_matrix, confusion)
         got = np.array([report.mean_mass[k] for k in ("p_target", "p_plausible", "p_implausible")])
         assert got.tobytes() == masses.tobytes()
-        if kind == "overflowing":
-            assert np.isnan(masses).all()
 
     @staticmethod
     def dyadic_case(n, C, d=8, seed=0):
@@ -320,6 +321,14 @@ class TestEvaluate:
             assert all(np.isnan(v) for v in report.mean_mass.values())
         else:
             assert report.mean_mass is None
+
+    def test_logits_spanning_more_than_the_float_range_score_without_warning(self):
+        # the softmax's shift overflows to -inf, whose exp is 0; a warning fails the test
+        data = LabeledDataset(features=np.ones((2, 1)), clean_labels=np.array([0, 1]), class_count=2)
+        model = ModelParams(architecture="linear", weights=[np.array([[1e308, -1e308]])], biases=[np.zeros(2)])
+        report = evaluate(model, data, q=np.eye(2, dtype=bool))
+        assert report.clean_test_accuracy == 0.5
+        assert report.mean_mass == {"p_target": 0.5, "p_plausible": 0.5, "p_implausible": 0.5}
 
     def test_peak_memory_is_a_few_blocks(self):
         # one pass would hold 160 MB (n, C) float arrays
