@@ -8,7 +8,8 @@ Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``sweep``,
 section (``sweep`` reads its weights from ``sweep.alpha_values`` and
 ``sweep.beta_values``).
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid input.
+Exit codes: 0 success, 1 runtime failure, 2 invalid input; a bad config
+value exits 2 before any run, naming its ``section.key``.
 """
 
 from __future__ import annotations

@@ -57,14 +57,6 @@ class LabeledDataset:
                 if labels.min() < 0 or labels.max() >= self.class_count:
                     raise ValueError(f"labels out of range [0, {self.class_count})")
 
-    @property
-    def n(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.features.shape[1])
-
     def training_labels(self) -> np.ndarray:
         """Noisy labels when present, else the clean ones."""
         return self.noisy_labels if self.noisy_labels is not None else self.clean_labels

@@ -45,9 +45,11 @@ import numpy as np
 from . import __version__
 from .datasets import make_gaussian_mixture, make_mil_bags, make_ring
 from .loss import LossParams
-from .noise import NoiseSpec, build_transition, corrupt_labels
+from .noise import TOPOLOGIES, NoiseSpec, build_transition, corrupt_labels
 from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
+    ARCHITECTURES,
+    SCHEDULES,
     TrainConfig,
     TrainingDivergedError,
     diagonal_mass,
@@ -197,89 +199,111 @@ def merge_config(base: dict, override: dict) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check experiment-level consistency before any computation starts.
+    """Check a config against its family's defaults before any computation starts.
 
-    A config holds the keys of its family's defaults, at the top level and
-    in each section (the objects among them), each of its default's type.
-    The noise section may also set ``sinks``, ``pairs`` and ``group_size``.
+    One walk holds each value against its default, and the noise layout
+    keys against ``_NOISE_LAYOUT``: an object has its default's keys; a
+    list is nonempty, repeats no item, and holds items of the kind of its
+    default's first (a tuple default also fixes the length); a str is set;
+    a number is finite and of its default's type (an int is also a float,
+    a bool is no number).  Each value lies in its ``_BOUNDS`` row, an
+    interval or a str's choices; a number with no row follows the rule: an
+    int is at least 1, a float at least 0.  The rules that tie keys
+    together follow the walk.  Each error names its key.
     """
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    defaults = _DEFAULTS[experiment]
-    _check_keys("", cfg, defaults)
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
-        raise ValueError(f"seeds must be a nonempty list of non-negative integers, got {seeds!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must not repeat a seed, got {seeds!r}")
-    if not cfg["output_dir"]:
-        raise ValueError("output_dir must be set")
-    sections = [key for key, value in defaults.items() if isinstance(value, dict)]
-    for section in sections:
-        if not isinstance(cfg[section], dict):
-            raise ValueError(f"{section} must be an object, got {cfg[section]!r}")
-        _check_keys(f"{section}.", cfg[section], defaults[section], _NOISE_LAYOUT if section == "noise" else ())
-    for key, value in cfg.items():
-        _check_finite(key, value)
-        if key not in sections:
-            _check_type(key, value, type(defaults[key]))
-            continue
-        for name, item in value.items():
-            if name in defaults[key]:
-                _check_type(f"{key}.{name}", item, type(defaults[key][name]))
-    for name, value in cfg["dataset"].items():
-        # sizes and counts are at least 1; scales, spreads and rates not negative
-        low = 1 if type(defaults["dataset"][name]) is int else 0
-        if value < low:
-            raise ValueError(f"dataset.{name} must be >= {low}, got {value!r}")
-    # building these raises ValueError on bad values
-    TrainConfig(seed=0, **cfg["train"])
-    if "noise" in sections:
-        _noise_spec(cfg["noise"])
-    if "loss" in sections:
-        LossParams(cfg["loss"]["alpha"], cfg["loss"]["beta"])
-    if experiment == "toy2d" and cfg["grid_resolution"] < 1:
-        raise ValueError(f"grid_resolution must be >= 1, got {cfg['grid_resolution']!r}")
-    if experiment == "sweep":
-        for name, values in cfg["sweep"].items():
-            if not values:
-                raise ValueError(f"sweep.{name} must be a nonempty list")
-            for value in values:
-                _check_type(f"sweep.{name} element", value, float)
-            if any(v < 0 for v in values):
-                raise ValueError(f"sweep.{name} must be non-negative")
-            if len(set(values)) < len(values):  # each cell is keyed by its values
-                raise ValueError(f"sweep.{name} must not repeat a value, got {values!r}")
+    _check("", cfg, _DEFAULTS[experiment])
+    C, noise = cfg["dataset"].get("class_count"), cfg.get("noise")
+    if experiment == "toy2d" and C < 3:
+        raise ValueError(f"dataset.class_count must be >= 3 for the ring, got {C}")
+    if experiment == "toy2d" and cfg["window"] >= C:
+        raise ValueError(f"window must be smaller than dataset.class_count {C}, got {cfg['window']}")
+    if "loss" in cfg and cfg["loss"]["alpha"] == cfg["loss"]["beta"] == 0:
+        raise ValueError("loss.alpha and loss.beta must not both be 0")
+    if noise is None:
+        return cfg
+    if noise["topology"] == "column" and C < 2:
+        raise ValueError(f"dataset.class_count must be >= 2 for column noise, got {C}")
+    if noise["topology"] == "asymmetric_pairs" and "pairs" not in noise:
+        raise ValueError("noise.pairs must be set for asymmetric_pairs")
+    sources = [src for src, _ in noise.get("pairs", [])]
+    if len(set(sources)) < len(sources):
+        raise ValueError(f"noise.pairs must not repeat a source, got {noise['pairs']!r}")
+    for key in ("sinks", "pairs"):
+        if key in noise and np.max(noise[key]) >= C:
+            raise ValueError(f"noise.{key} must name classes below dataset.class_count {C}, got {noise[key]!r}")
+    group_size = noise.get("group_size")
+    if noise["topology"].endswith("superclass") and (group_size is None or C % group_size):
+        raise ValueError(f"noise.group_size must be set and divide dataset.class_count {C}, got {group_size!r}")
     return cfg
 
 
-def _check_keys(prefix: str, doc: dict, expected: dict, optional=()) -> None:
-    """``doc`` holds every key of ``expected`` and no key outside it and ``optional``."""
-    for key in doc:
-        if key not in expected and key not in optional:
-            raise ValueError(f"unknown config key '{prefix}{key}'; known keys are {sorted([*expected, *optional])}")
-    for key in expected:
-        if key not in doc:
-            raise ValueError(f"missing config key '{prefix}{key}'")
+# where a value's bounds differ from the rule (an int is in [1, inf), a float
+# in [0, inf)): an interval, or the choices of a str
+_BOUNDS = {
+    "seeds": "[0, inf)",
+    "window": "[0, inf)",
+    "dataset.n_bags": "[2, inf)",
+    "dataset.positive_instance_rate": "(0, 1]",
+    "noise.topology": TOPOLOGIES,
+    "noise.eta": "[0, 1]",
+    "noise.sinks": "[0, inf)",
+    "noise.pairs": "[0, inf)",
+    "noise.group_size": "[2, inf)",
+    "train.learning_rate": "(0, inf)",
+    "train.momentum": "[0, 1)",
+    "train.lr_schedule": SCHEDULES,
+    "train.architecture": ARCHITECTURES,
+}
+
+# the noise section's optional layout keys, each with a value of its kind
+_NOISE_LAYOUT = {"sinks": (0, 1), "pairs": [(0, 1)], "group_size": 2}
 
 
-def _check_type(where: str, value, expected: type) -> None:
-    """A config value has its default's type; an int is also a float, a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if expected is float else expected):
-        raise ValueError(f"{where} must be of type {expected.__name__}, got {value!r}")
-
-
-def _check_finite(where: str, value) -> None:
-    """No float inside a config value is NaN or infinite (JSON configs may spell them)."""
+def _check(where: str, value, default) -> None:
+    """``value`` is of ``default``'s kind and in bounds, as :func:`validate_config` says."""
+    kind = list if type(default) is tuple else type(default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{where} must be of type {kind.__name__}, got {value!r}")
+    if isinstance(value, dict):
+        known = {**default, **_NOISE_LAYOUT} if where == "noise" else default
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in known:
+                raise ValueError(f"unknown config key '{prefix}{key}'; known keys are {sorted(known)}")
+        for key in default:
+            if key not in value:
+                raise ValueError(f"missing config key '{prefix}{key}'")
+        for key, item in value.items():
+            _check(f"{prefix}{key}", item, known[key])
+        return
+    if isinstance(value, list):
+        if isinstance(default, tuple) and len(value) != len(default):
+            raise ValueError(f"{where} must hold {len(default)} items, got {value!r}")
+        if not value:
+            raise ValueError(f"{where} must be a nonempty list")
+        for i, item in enumerate(value):
+            _check(f"{where}[{i}]", item, default[0])
+            if item in value[:i]:
+                raise ValueError(f"{where} must not repeat a value, got {value!r}")
+        return
+    bound = _BOUNDS.get(where.partition("[")[0])
+    if isinstance(value, str):
+        if bound is not None and value not in bound:
+            raise ValueError(f"{where} must be one of {bound}, got {value!r}")
+        if not value:
+            raise ValueError(f"{where} must be set")
+        return
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where} must be finite, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(f"{where}.{key}", item)
-    elif isinstance(value, list):
-        for item in value:
-            _check_finite(where, item)
+    bound = bound or ("[1, inf)" if kind is int else "[0, inf)")
+    low, high = (float(end) for end in bound[1:-1].split(","))
+    above = low < value if bound[0] == "(" else low <= value
+    below = value < high if bound[-1] == ")" else value <= high
+    if not (above and below):
+        raise ValueError(f"{where} must be in {bound}, got {value!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -287,31 +311,6 @@ def config_hash(cfg: dict) -> str:
     experiment = {key: value for key, value in cfg.items() if key != "output_dir"}
     canonical = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-# the noise section's optional layout keys
-_NOISE_LAYOUT = ("sinks", "pairs", "group_size")
-
-
-def _noise_spec(doc: dict) -> NoiseSpec:
-    sinks, pairs, group_size = (doc.get(key) for key in _NOISE_LAYOUT)
-    if sinks is not None and not _is_int_pair(sinks):
-        raise ValueError(f"noise.sinks must be a list of two integers, got {sinks!r}")
-    if pairs is not None and not (isinstance(pairs, list) and all(map(_is_int_pair, pairs))):
-        raise ValueError(f"noise.pairs must be a list of [source, destination] integer pairs, got {pairs!r}")
-    if group_size is not None:
-        _check_type("noise.group_size", group_size, int)
-    return NoiseSpec(
-        topology=doc["topology"],
-        eta=doc["eta"],
-        sinks=None if sinks is None else tuple(sinks),
-        pairs=None if pairs is None else [tuple(p) for p in pairs],
-        group_size=group_size,
-    )
-
-
-def _is_int_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def _transition(cfg: dict):
     where they need it and drop it at once: Q is its support, and each
     split corrupts its labels with a fresh one.
     """
-    return build_transition(_noise_spec(cfg["noise"]), cfg["dataset"]["class_count"])
+    return build_transition(NoiseSpec(**cfg["noise"]), cfg["dataset"]["class_count"])
 
 
 def _noisy_mixture_split(cfg: dict, seed: int):

@@ -82,6 +82,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.lr_schedule not in SCHEDULES:

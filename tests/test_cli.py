@@ -368,6 +368,20 @@ class TestExperimentCommands:
             ("noise-recovery", {"dataset": {"dim": 0}}, "dataset.dim"),
             ("toy2d", {"dataset": {"n_per_class": 0}}, "dataset.n_per_class"),
             ("mil-toy", {"dataset": {"bag_size": 0}}, "dataset.bag_size"),
+            # values a builder would reject later, or not at all
+            ("noise-recovery", {"train": {"hidden_units": 0, "architecture": "mlp1"}}, "train.hidden_units"),
+            ("noise-recovery", {"train": {"hidden_units": -3}}, "train.hidden_units"),
+            ("noise-recovery", {"train": {"hidden_units": -3, "architecture": "mlp1"}}, "train.hidden_units"),
+            ("toy2d", {"dataset": {"class_count": 2}}, "dataset.class_count"),
+            ("toy2d", {"window": 8}, "window"),
+            ("mil-toy", {"dataset": {"positive_instance_rate": 1.5}}, "dataset.positive_instance_rate"),
+            ("mil-toy", {"dataset": {"n_bags": 1}}, "dataset.n_bags"),
+            ("noise-recovery", {"noise": {"eta": 1.5}}, "noise.eta"),
+            ("noise-recovery", {"train": {"momentum": 1.0}}, "train.momentum"),
+            ("noise-recovery", {"train": {"batch_size": 0}}, "train.batch_size"),
+            ("noise-recovery", {"loss": {"alpha": 0.0, "beta": 0.0}}, "loss.alpha"),
+            ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": 3}}, "noise.group_size"),
+            ("noise-recovery", {"dataset": {"class_count": 1}}, "dataset.class_count"),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -376,6 +390,26 @@ class TestExperimentCommands:
         assert code == 2
         assert key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("toy2d", {"dataset": {"class_count": 4}, "window": 3}),
+            ("toy2d", {"dataset": {"class_count": 3}, "window": 0}),
+            ("noise-recovery", {"noise": {"eta": 1.0}}),
+            ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": 10}}),
+            ("noise-recovery", {"train": {"momentum": 0.0, "architecture": "mlp1", "hidden_units": 1}}),
+            ("mil-toy", {"dataset": {"positive_instance_rate": 1.0, "n_bags": 2, "bag_size": 10}}),
+        ],
+    )
+    def test_values_at_an_inclusive_bound_run(self, tmp_path, capsys, command, doc):
+        tiny = {"seeds": [0], "dataset": {"n_per_class": 10, "n_test_per_class": 10}, "train": {"epochs": 1}}
+        if command == "mil-toy":
+            tiny["dataset"] = {}
+        cfg = write_config(tmp_path, experiments.merge_config(tiny, doc))
+        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 0, err
+        assert (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "experiment,key",

@@ -207,13 +207,13 @@ class TestEvaluate:
         report = evaluate(model, ring)
         assert report.clean_test_accuracy > 0.98
         off_diag = report.confusion_matrix.sum() - np.trace(report.confusion_matrix)
-        assert off_diag <= 0.02 * ring.n
+        assert off_diag <= 0.02 * ring.features.shape[0]
 
     def test_uniform_logits_tie_break_to_lowest_index(self):
         data, _ = separable_mixture()
         model = ModelParams(
             architecture="linear",
-            weights=[np.zeros((data.dim, data.class_count))],
+            weights=[np.zeros((data.features.shape[1], data.class_count))],
             biases=[np.zeros(data.class_count)],
         )
         report = evaluate(model, data)
@@ -262,7 +262,7 @@ class TestEvaluate:
         if kind == "trained":
             model, _ = train(data, None, TrainConfig(learning_rate=0.1, epochs=3, batch_size=64, seed=2))
         else:
-            model = init_model(kind if kind == "mlp1" else "linear", data.dim, 4, 8, np.random.default_rng(3))
+            model = init_model(kind if kind == "mlp1" else "linear", data.features.shape[1], 4, 8, np.random.default_rng(3))
         if kind == "overflowing":  # finite weights, logits of +-inf: the run diverged, unscored
             model.weights[0] = np.sign(model.weights[0]) * 1e308
             with pytest.raises(TrainingDivergedError, match="non-finite logits at evaluation"):
@@ -422,3 +422,6 @@ class TestConfigValidation:
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, loss="hinge")
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, loss="dual_margin")
+        # init_model would raise OverflowError on a zero-width hidden layer
+        with pytest.raises(ValueError, match="hidden_units"):
+            TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, architecture="mlp1", hidden_units=0)
