@@ -8,8 +8,9 @@ Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``sweep``,
 section (``sweep`` reads its weights from ``sweep.alpha_values`` and
 ``sweep.beta_values``).
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid input; a bad config
-value exits 2 before any run, naming its ``section.key``.
+Exit codes: 0 success, 1 runtime failure (a diverged run, an i/o failure,
+or out of memory), 2 invalid input; a bad config value exits 2 before any
+run, naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -37,6 +37,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -208,7 +209,7 @@ def validate_config(cfg: dict) -> dict:
     a number is finite and of its default's type (an int is also a float,
     a bool is no number).  Each value lies in its ``_BOUNDS`` row, an
     interval or a str's choices; a number with no row follows the rule: an
-    int is at least 1, a float at least 0.  The rules that tie keys
+    int is in [1, 2**63), a float at least 0.  The rules that tie keys
     together follow the walk.  Each error names its key.
     """
     experiment = cfg.get("experiment")
@@ -240,12 +241,13 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-# where a value's bounds differ from the rule (an int is in [1, inf), a float
-# in [0, inf)): an interval, or the choices of a str
+# where a value's bounds differ from the rule (an int is in [1, 2**63), a
+# float in [0, inf)): an interval, or the choices of a str.  2**63, the first
+# int an int64 cannot hold, is a float that compares exactly with any int
 _BOUNDS = {
     "seeds": "[0, inf)",
     "window": "[0, inf)",
-    "dataset.n_bags": "[2, inf)",
+    "dataset.n_bags": "[2, 9223372036854775808)",
     "dataset.positive_instance_rate": "(0, 1]",
     "noise.topology": TOPOLOGIES,
     "noise.eta": "[0, 1]",
@@ -296,9 +298,10 @@ def _check(where: str, value, default) -> None:
         if not value:
             raise ValueError(f"{where} must be set")
         return
-    if isinstance(value, float) and not math.isfinite(value):
+    # a float key's value, an int too, converts to a finite float
+    if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{where} must be finite, got {value!r}")
-    bound = bound or ("[1, inf)" if kind is int else "[0, inf)")
+    bound = bound or ("[1, 9223372036854775808)" if kind is int else "[0, inf)")
     low, high = (float(end) for end in bound[1:-1].split(","))
     above = low < value if bound[0] == "(" else low <= value
     below = value < high if bound[-1] == ")" else value <= high
@@ -449,10 +452,6 @@ def _mean_std(values: list[float]) -> dict:
     }
 
 
-def _train_config(cfg: dict, seed: int, loss: str, loss_params: LossParams | None = None) -> TrainConfig:
-    return TrainConfig(seed=seed, loss=loss, loss_params=loss_params, **cfg["train"])
-
-
 # ---------------------------------------------------------------------------
 # experiment families
 # ---------------------------------------------------------------------------
@@ -463,15 +462,17 @@ _SCORE_COLUMNS = METRIC_COLUMNS[METRIC_COLUMNS.index("accuracy"):]
 
 
 def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
-    """Train each method per seed; ``methods`` maps a name to ``(loss, weights, q)``.
+    """Train each method per seed; ``methods`` maps a name to ``(weights, q)``.
 
-    ``weights`` is the dual-margin ``(alpha, beta)``, or None for CE.  A
-    name is a string, or a sweep cell's ``(alpha, beta)``, whose failures
-    hold ``alpha`` and ``beta`` instead.  Weights LossParams rejects
-    (alpha = beta = 0) and diverged runs are failures.  ``fit(data, q, tc)``
-    returns ``(model, report)`` and ``row_metrics(report)`` the extra
-    metrics.csv columns.  Returns the rows, the report (runs, summary,
-    failures) and the first seed's model per completed method.
+    ``weights`` is the dual-margin ``(alpha, beta)``, or None for CE: a
+    run's ``TrainConfig`` is the ``train`` section with the seed and
+    ``LossParams(*weights)`` or None.  A name is a string, or a sweep
+    cell's ``(alpha, beta)``, whose failures hold ``alpha`` and ``beta``
+    instead.  Weights LossParams rejects (alpha = beta = 0) and diverged
+    runs are failures.  ``fit(data, q, tc)`` returns ``(model, report)``
+    and ``row_metrics(report)`` the extra metrics.csv columns.  Returns the
+    rows, the report (runs, summary, failures) and the first seed's model
+    per completed method.
     """
     experiment = cfg["experiment"]
     rows: list[dict] = []
@@ -481,7 +482,7 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
 
     for seed in cfg["seeds"]:
         data = data_for_seed(seed)
-        for method, (loss, weights, q) in methods.items():
+        for method, (weights, q) in methods.items():
             name = {"method": method} if isinstance(method, str) else dict(zip(("alpha", "beta"), method))
             try:
                 loss_params = None if weights is None else LossParams(*weights)
@@ -489,7 +490,7 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
                 failures.append({**name, "seed": seed, "error": str(exc)})
                 continue
             try:
-                model, report = fit(data, q, _train_config(cfg, seed, loss, loss_params))
+                model, report = fit(data, q, TrainConfig(seed=seed, loss_params=loss_params, **cfg["train"]))
             except TrainingDivergedError as exc:
                 failures.append({**name, "seed": seed, "error": str(exc)})
                 continue
@@ -525,7 +526,7 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
 def _ce_and_dm(cfg: dict, q, ce_q=None) -> dict:
     """``methods`` for cross-entropy (with ``ce_q``) against dual-margin (with ``q``) at the config's weights."""
     weights = (cfg["loss"]["alpha"], cfg["loss"]["beta"])
-    return {"ce": ("cross_entropy", None, ce_q), "dual_margin": ("dual_margin", weights, q)}
+    return {"ce": (None, ce_q), "dual_margin": (weights, q)}
 
 
 def _fit_train(split, q, tc: TrainConfig):
@@ -616,8 +617,8 @@ def run_sweep(cfg: dict) -> dict:
     q = q_from_transition(_transition(cfg))
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
-    methods = {"ce": ("cross_entropy", None, None)}
-    methods.update({(a, b): ("dual_margin", (a, b), q) for a in alphas for b in betas})
+    methods = {"ce": (None, None)}
+    methods.update({(a, b): ((a, b), q) for a in alphas for b in betas})
     _, report, _ = _run_methods(cfg, methods, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train, lambda _: {})
     mean = {method: scores["accuracy"]["mean"] for method, scores in report["summary"].items()}
     grid = [[mean.get((a, b)) for b in betas] for a in alphas]

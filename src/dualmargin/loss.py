@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,16 +115,7 @@ class LossBreakdown:
     loss: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "constant_term": self.constant_term,
-            "target_term": self.target_term,
-            "set_term": self.set_term,
-            "z_target": self.z_target,
-            "z_plausible": self.z_plausible,
-            "z_implausible": self.z_implausible,
-            "z_non_target": self.z_non_target,
-            "loss": self.loss,
-        }
+        return asdict(self)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -18,7 +18,7 @@ order.  Independent runs are safe to execute in parallel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("linear", "mlp1")
-LOSSES = ("cross_entropy", "dual_margin")
 SCHEDULES = ("constant", "cosine")
 
 
@@ -59,9 +58,9 @@ class ModelParams:
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    ``loss_params`` is required when ``loss == "dual_margin"``.  The
-    reduction inside ``loss_params`` is forced to mean so updates are
-    batch-size stable.
+    ``loss_params is None`` trains cross-entropy; otherwise the run trains
+    the dual-margin loss at those weights, with the reduction forced to
+    mean so updates are batch-size stable.
     """
 
     learning_rate: float
@@ -69,7 +68,6 @@ class TrainConfig:
     batch_size: int
     seed: int
     momentum: float = 0.9
-    loss: str = "cross_entropy"
     loss_params: LossParams | None = None
     lr_schedule: str = "constant"
     architecture: str = "linear"
@@ -84,14 +82,10 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.hidden_units < 1:
             raise ValueError("hidden_units must be >= 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.lr_schedule not in SCHEDULES:
             raise ValueError(f"lr_schedule must be one of {SCHEDULES}, got {self.lr_schedule!r}")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}")
-        if self.loss == "dual_margin" and self.loss_params is None:
-            raise ValueError("dual_margin loss requires loss_params")
 
 
 @dataclass
@@ -196,11 +190,11 @@ def train(
     """Train a classifier on ``data`` and evaluate against clean labels.
 
     Supervision uses the dataset's noisy labels when present; clean labels
-    are only ever read at evaluation time.  ``q`` supplies per-label
-    plausible sets for the dual-margin loss and, under either loss, the
-    mass diagnostics of the evaluation; cross-entropy trains without it.
-    Evaluation runs on ``test_data`` when given, else on the training
-    features.
+    are only ever read at evaluation time.  The run trains cross-entropy
+    when ``cfg.loss_params`` is None, else the dual-margin loss, which
+    reads its plausible sets from ``q``; under either loss ``q`` also gives
+    the mass diagnostics of the evaluation.  Evaluation runs on
+    ``test_data`` when given, else on the training features.
 
     Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
     non-finite weights at the end, or on non-finite evaluation logits.
@@ -217,20 +211,15 @@ def train(
         q = np.asfortranarray(q, dtype=bool)
         if q.shape != (C, C):
             raise ValueError(f"Q shape {q.shape} does not match class count {C}")
-    if cfg.loss == "dual_margin":
-        if q is None:
-            raise ValueError("dual_margin loss requires a plausibility matrix")
-        params = LossParams(
-            alpha=cfg.loss_params.alpha,
-            beta=cfg.loss_params.beta,
-            reduction="mean",
-            allow_degenerate=cfg.loss_params.allow_degenerate,
-        )
+    params = None if cfg.loss_params is None else replace(cfg.loss_params, reduction="mean")
+    if params is not None and q is None:
+        raise ValueError("dual_margin loss requires a plausibility matrix")
+    loss = "cross_entropy" if params is None else "dual_margin"
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg.architecture, X.shape[1], C, cfg.hidden_units, rng)
-    velocity_w = [np.zeros_like(w) for w in model.weights]
-    velocity_b = [np.zeros_like(b) for b in model.biases]
+    layers = model.weights + model.biases  # each array is updated in place
+    velocity = [np.zeros_like(p) for p in layers]
 
     curve: list[float] = []
     for epoch in range(cfg.epochs):
@@ -247,25 +236,23 @@ def train(
                     raise TrainingDivergedError(
                         f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
                     )
-                if cfg.loss == "cross_entropy":
+                if params is None:
                     loss_value, grad_logits = _ce_loss_and_grad(logits, yb)
                 else:
                     loss_value, grad_logits = batch_loss_and_grad(logits, yb, q, params)
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(
                         f"non-finite loss {loss_value!r} at epoch {epoch}, batch offset {lo} "
-                        f"(lr={lr:g}, loss={cfg.loss})"
+                        f"(lr={lr:g}, loss={loss})"
                     )
                 loss_sum += loss_value * len(sel)
                 grads_w, grads_b = _backward(model, Xb, hidden, grad_logits)
-                for i in range(len(model.weights)):
-                    velocity_w[i] = cfg.momentum * velocity_w[i] + grads_w[i]
-                    velocity_b[i] = cfg.momentum * velocity_b[i] + grads_b[i]
-                    model.weights[i] -= lr * velocity_w[i]
-                    model.biases[i] -= lr * velocity_b[i]
+                for i, g in enumerate(grads_w + grads_b):
+                    velocity[i] = cfg.momentum * velocity[i] + g
+                    layers[i] -= lr * velocity[i]
         curve.append(loss_sum / n)
-    if not all(np.all(np.isfinite(p)) for p in model.weights + model.biases):
-        raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={cfg.loss})")
+    if not all(np.all(np.isfinite(p)) for p in layers):
+        raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={loss})")
 
     report = evaluate(model, test_data if test_data is not None else data, q=q)
     report.train_curve = curve

@@ -382,6 +382,14 @@ class TestExperimentCommands:
             ("noise-recovery", {"loss": {"alpha": 0.0, "beta": 0.0}}, "loss.alpha"),
             ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": 3}}, "noise.group_size"),
             ("noise-recovery", {"dataset": {"class_count": 1}}, "dataset.class_count"),
+            # ints too big for an int64, where numpy's message names no key
+            ("noise-recovery", {"dataset": {"class_count": 10**22}}, "dataset.class_count"),
+            ("noise-recovery", {"dataset": {"class_count": 10**400}}, "dataset.class_count"),
+            ("noise-recovery", {"dataset": {"class_count": 2**63}}, "dataset.class_count"),
+            ("mil-toy", {"dataset": {"n_bags": 10**22}}, "dataset.n_bags"),
+            # an int at a float key that no float can hold
+            ("noise-recovery", {"train": {"learning_rate": 10**400}}, "train.learning_rate"),
+            ("mil-toy", {"dataset": {"separation": 10**400}}, "dataset.separation"),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -410,6 +418,20 @@ class TestExperimentCommands:
         code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 0, err
         assert (tmp_path / "o" / "report.json").exists()
+
+    def test_largest_int64_size_passes_validation(self):
+        cfg = experiments.default_config("noise_recovery")
+        cfg["dataset"]["class_count"] = 2**63 - 1
+        experiments.validate_config(cfg)
+
+    def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # numpy fails the C x C transition matrix's allocation at once
+        cfg = write_config(tmp_path, {"dataset": {"class_count": 10**9}})
+        code, _, err = run_cli(["noise-recovery", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 1
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "experiment,key",
@@ -764,3 +786,19 @@ def test_benchmark_hooks_see_every_layer(tmp_path):
         "loss.batch_loss_and_grad",
         "loss.ce_loss_and_grad",
     } <= spans
+
+
+def test_benchmark_kernel_probe_runs(tmp_path):
+    """The benchmark's traced runs start the kernel probe, which imports the
+    library by name and checks dual-margin at (1, 0) against cross-entropy."""
+    probe = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+    record = tmp_path / "probe.json"
+    done = subprocess.run(
+        [sys.executable, str(probe), str(record), "0", "0.0001"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    shapes = ("128x10", "128x1000", "4096x100")
+    kinds = ("loss.fwd_us", "loss.fwd_grad_us", "loss.dm_over_ce", "plausibility.sets_from_q_us")
+    metrics = json.loads(record.read_text())
+    assert set(metrics) == {f"{kind}.{shape}" for kind in kinds for shape in shapes} | {"noise.corrupt_us.1e5"}
+    assert all(math.isfinite(value) and value > 0 for value in metrics.values())

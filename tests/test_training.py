@@ -59,17 +59,17 @@ class TestTraining:
         data, test = separable_mixture()
         q = np.eye(4, dtype=bool)
         common = dict(learning_rate=0.05, epochs=8, batch_size=64, seed=3)
-        _, ce_report = train(data, None, TrainConfig(loss="cross_entropy", **common), test_data=test)
+        _, ce_report = train(data, None, TrainConfig(**common), test_data=test)
         model_dual, dual_report = train(
             data,
             q,
-            TrainConfig(loss="dual_margin", loss_params=LossParams(1.0, 0.0, allow_degenerate=True), **common),
+            TrainConfig(loss_params=LossParams(1.0, 0.0, allow_degenerate=True), **common),
             test_data=test,
         )
         curve_ce = np.array(ce_report.train_curve)
         curve_dual = np.array(dual_report.train_curve)
         np.testing.assert_allclose(curve_ce, curve_dual, atol=1e-9)
-        model_ce, _ = train(data, None, TrainConfig(loss="cross_entropy", **common), test_data=test)
+        model_ce, _ = train(data, None, TrainConfig(**common), test_data=test)
         for w_ce, w_dual in zip(model_ce.weights, model_dual.weights):
             np.testing.assert_allclose(w_ce, w_dual, atol=1e-9)
 
@@ -105,11 +105,22 @@ class TestTraining:
     def test_dual_margin_requires_q(self):
         data, _ = separable_mixture()
         cfg = TrainConfig(
-            learning_rate=0.1, epochs=1, batch_size=64, seed=0,
-            loss="dual_margin", loss_params=LossParams(0.1, 10.0),
+            learning_rate=0.1, epochs=1, batch_size=64, seed=0, loss_params=LossParams(0.1, 10.0),
         )
         with pytest.raises(ValueError):
             train(data, None, cfg)
+
+    def test_dual_margin_reduction_is_forced_to_mean(self):
+        data, test = separable_mixture()
+        q = same_group([0, 0, 1, 1])
+        common = dict(learning_rate=0.1, epochs=2, batch_size=64, seed=0)
+        summed, mean = LossParams(0.1, 10.0, reduction="none"), LossParams(0.1, 10.0)
+        model_none, report_none = train(data, q, TrainConfig(loss_params=summed, **common), test_data=test)
+        model_mean, report_mean = train(data, q, TrainConfig(loss_params=mean, **common), test_data=test)
+        assert summed.reduction == "none"  # the caller's params are left as they were
+        assert report_none.train_curve == report_mean.train_curve
+        for a, b in zip(model_none.weights + model_none.biases, model_mean.weights + model_mean.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_cross_entropy_with_q_reports_masses_and_checks_shape(self):
         data, test = separable_mixture()
@@ -166,9 +177,8 @@ class TestQLayout:
     def test_c_and_fortran_ordered_q_give_identical_runs(self, monkeypatch, loss):
         data, test = separable_mixture()
         q = same_group([0, 0, 1, 1])
-        cfg = TrainConfig(
-            learning_rate=0.1, epochs=3, batch_size=64, seed=4, loss=loss, loss_params=LossParams(0.1, 10.0)
-        )
+        loss_params = None if loss == "cross_entropy" else LossParams(0.1, 10.0)
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=64, seed=4, loss_params=loss_params)
         seen = []
         real = training.batch_loss_and_grad
 
@@ -372,10 +382,10 @@ class TestMassDirection:
         test = hierarchy_mixture(seed=1)
         q = same_group([0, 0, 1, 1, 2, 2])
         common = dict(learning_rate=0.1, epochs=40, batch_size=128, seed=0)
-        model_ce, _ = train(data, None, TrainConfig(loss="cross_entropy", **common))
+        model_ce, _ = train(data, None, TrainConfig(**common))
         model_dual, _ = train(
             data, q,
-            TrainConfig(loss="dual_margin", loss_params=LossParams(0.1, 10.0), **common),
+            TrainConfig(loss_params=LossParams(0.1, 10.0), **common),
         )
         ce = evaluate(model_ce, test, q=q).mean_mass
         dual = evaluate(model_dual, test, q=q).mean_mass
@@ -387,10 +397,10 @@ class TestMilTraining:
     def test_pure_positive_bags_train_both_losses_well(self):
         bags = make_mil_bags(40, 30, positive_instance_rate=1.0, dim=2, seed=0, separation=4.0)
         common = dict(learning_rate=0.2, epochs=30, batch_size=128, seed=0)
-        ce = train_mil_instances(bags, TrainConfig(loss="cross_entropy", **common))
+        ce = train_mil_instances(bags, TrainConfig(**common))
         dual = train_mil_instances(
             bags,
-            TrainConfig(loss="dual_margin", loss_params=LossParams(1.0, 1.0), **common),
+            TrainConfig(loss_params=LossParams(1.0, 1.0), **common),
             q=q_mil(),
         )
         assert ce.clean_test_accuracy > 0.9
@@ -418,10 +428,6 @@ class TestConfigValidation:
             TrainConfig(learning_rate=0.1, epochs=0, batch_size=1, seed=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, loss="hinge")
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, loss="dual_margin")
         # init_model would raise OverflowError on a zero-width hidden layer
         with pytest.raises(ValueError, match="hidden_units"):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, seed=0, architecture="mlp1", hidden_units=0)
