@@ -61,14 +61,6 @@ class LabeledDataset:
         """Noisy labels when present, else the clean ones."""
         return self.noisy_labels if self.noisy_labels is not None else self.clean_labels
 
-    def with_noisy_labels(self, noisy: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            features=self.features,
-            clean_labels=self.clean_labels,
-            class_count=self.class_count,
-            noisy_labels=noisy,
-        )
-
 
 @dataclass
 class BagDataset:
@@ -91,17 +83,14 @@ class BagDataset:
             if label == 0 and np.any(np.asarray(truth) != 0):
                 raise ValueError("negative bag contains a positive instance")
 
-    def flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Instances, inherited bag labels, true instance labels, bag index."""
+    def flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All bags' instances in bag order, each one's bag label, and its true label."""
         X = np.concatenate(self.bags, axis=0)
         inherited = np.concatenate(
             [np.full(len(b), lab, dtype=int) for b, lab in zip(self.bags, self.bag_labels)]
         )
         truth = np.concatenate([np.asarray(t, dtype=int) for t in self.instance_truth])
-        bag_index = np.concatenate(
-            [np.full(len(b), i, dtype=int) for i, b in enumerate(self.bags)]
-        )
-        return X, inherited, truth, bag_index
+        return X, inherited, truth
 
 
 def make_ring(

@@ -64,22 +64,19 @@ __all__ = [
     "batch_loss_and_grad",
 ]
 
-_REDUCTIONS = ("mean", "none")
-
-
 @dataclass
 class LossParams:
-    """Weights for the two margins plus the batch reduction mode.
+    """Weights for the two margins.
 
     ``alpha`` weighs the target-vs-rest odds, ``beta`` the plausible-vs-
     implausible odds.  Both must be non-negative; both zero is almost
     always a configuration mistake (the loss is then identically 0), so it
-    is rejected unless ``allow_degenerate`` is set.
+    is rejected unless ``allow_degenerate`` is set.  A batch's loss is
+    always the mean of its per-sample losses.
     """
 
     alpha: float
     beta: float
-    reduction: str = "mean"
     allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
@@ -89,8 +86,6 @@ class LossParams:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.reduction not in _REDUCTIONS:
-            raise ValueError(f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}")
         if self.alpha == 0.0 and self.beta == 0.0 and not self.allow_degenerate:
             raise ValueError("alpha and beta are both zero; pass allow_degenerate=True if intended")
 
@@ -293,29 +288,16 @@ def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Z, targets, sets_from_q(q, targets)
 
 
-def batch_loss(Z, targets, q, params: LossParams):
-    """Batched loss over per-sample sets read from the columns of Q.
-
-    Returns a scalar under mean reduction, or the per-sample vector when
-    ``params.reduction == "none"``.
-    """
+def batch_loss(Z, targets, q, params: LossParams) -> float:
+    """Mean loss of a batch whose per-sample sets are read from the columns of Q."""
     Z, targets, masks = _validate_batch(Z, targets, q)
     losses, _, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
-    return _reduce(losses, params.reduction)
+    return float(losses.mean())
 
 
-def batch_loss_and_grad(Z, targets, q, params: LossParams):
-    """Batched loss plus the gradient of the reduced loss w.r.t. Z.
-
-    Under ``reduction="none"`` the gradient rows are the per-sample
-    gradients (i.e. the Jacobian diagonal blocks stacked as (B, C)).
-    """
+def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
+    """Mean batch loss plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B."""
     Z, targets, masks = _validate_batch(Z, targets, q)
     losses, grads, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=True)
-    if params.reduction == "mean":
-        grads /= Z.shape[0]
-    return _reduce(losses, params.reduction), grads
-
-
-def _reduce(losses: np.ndarray, reduction: str):
-    return float(losses.mean()) if reduction == "mean" else losses
+    grads /= Z.shape[0]
+    return float(losses.mean()), grads

@@ -66,16 +66,8 @@ def q_mil() -> np.ndarray:
 
 
 def q_from_transition(transition) -> np.ndarray:
-    """Support mask of a transition matrix: Q[c, t] = (T[c, t] > 0).
-
-    Accepts either a raw (C, C) probability array or an object with a
-    ``probs`` attribute holding one.
-    """
-    probs = getattr(transition, "probs", transition)
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-        raise ValueError(f"transition matrix must be square, got shape {probs.shape}")
-    return probs > 0.0
+    """Support mask of a :class:`~dualmargin.noise.TransitionMatrix`: Q[c, t] = (T[c, t] > 0)."""
+    return transition.probs > 0.0
 
 
 # ---------------------------------------------------------------------------

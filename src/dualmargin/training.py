@@ -17,8 +17,7 @@ order.  Independent runs are safe to execute in parallel.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +58,8 @@ class TrainConfig:
     """Hyperparameters of one training run.
 
     ``loss_params is None`` trains cross-entropy; otherwise the run trains
-    the dual-margin loss at those weights, with the reduction forced to
-    mean so updates are batch-size stable.
+    the dual-margin loss at those weights.  Either loss is the batch mean,
+    so updates are batch-size stable.
     """
 
     learning_rate: float
@@ -95,15 +94,13 @@ class ExperimentReport:
     ``confusion_matrix`` is an int32 (C, C) array of counts.
     ``mean_mass`` holds the average probability allocated to the exact
     label, its plausible set, and the complement (only when a
-    plausibility matrix was supplied at evaluation time).  ``wall_time``
-    is informational and is excluded from deterministic artifacts.
+    plausibility matrix was supplied at evaluation time).
     """
 
     train_curve: list[float]
     clean_test_accuracy: float
     confusion_matrix: np.ndarray
     mean_mass: dict[str, float] | None = None
-    wall_time: float = 0.0
     extras: dict = field(default_factory=dict)
 
 
@@ -199,7 +196,6 @@ def train(
     Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
     non-finite weights at the end, or on non-finite evaluation logits.
     """
-    start = time.perf_counter()
     X = data.features
     y = data.training_labels()
     n = X.shape[0]
@@ -211,7 +207,7 @@ def train(
         q = np.asfortranarray(q, dtype=bool)
         if q.shape != (C, C):
             raise ValueError(f"Q shape {q.shape} does not match class count {C}")
-    params = None if cfg.loss_params is None else replace(cfg.loss_params, reduction="mean")
+    params = cfg.loss_params
     if params is not None and q is None:
         raise ValueError("dual_margin loss requires a plausibility matrix")
     loss = "cross_entropy" if params is None else "dual_margin"
@@ -256,7 +252,6 @@ def train(
 
     report = evaluate(model, test_data if test_data is not None else data, q=q)
     report.train_curve = curve
-    report.wall_time = time.perf_counter() - start
     return model, report
 
 
@@ -355,7 +350,7 @@ def train_mil_instances(bags, cfg: TrainConfig, q: np.ndarray | None = None) -> 
     """
     from .datasets import LabeledDataset
 
-    X, inherited, truth, bag_index = bags.flatten()
+    X, inherited, truth = bags.flatten()
     dataset = LabeledDataset(features=X, clean_labels=truth, class_count=2, noisy_labels=inherited)
     model, report = train(dataset, q, cfg, test_data=dataset)
 
@@ -363,7 +358,8 @@ def train_mil_instances(bags, cfg: TrainConfig, q: np.ndarray | None = None) -> 
     preds = np.argmax(logits, axis=1)
     neg = truth == 0
     pos = truth == 1
-    neg_in_pos_bags = neg & (bags.bag_labels[bag_index] == 1)
+    # an instance inherits its bag's label
+    neg_in_pos_bags = neg & (inherited == 1)
     report.extras["recall_negative"] = float((preds[neg] == 0).mean()) if neg.any() else float("nan")
     report.extras["recall_positive"] = float((preds[pos] == 1).mean()) if pos.any() else float("nan")
     report.extras["recall_negative_in_positive_bags"] = (

@@ -390,6 +390,18 @@ class TestExperimentCommands:
             # an int at a float key that no float can hold
             ("noise-recovery", {"train": {"learning_rate": 10**400}}, "train.learning_rate"),
             ("mil-toy", {"dataset": {"separation": 10**400}}, "dataset.separation"),
+            # a layout key the topology does not read
+            (
+                "noise-recovery",
+                {"noise": {"topology": "asymmetric_pairs", "eta": 0.3, "pairs": [[0, 1]], "sinks": [1, 2]}},
+                "noise.sinks does not apply to topology 'asymmetric_pairs'",
+            ),
+            ("noise-recovery", {"noise": {"group_size": 5}}, "noise.group_size does not apply to topology 'column'"),
+            (
+                "noise-recovery",
+                {"noise": {"topology": "cyclic_superclass", "group_size": 2, "pairs": [[0, 1]]}},
+                "noise.pairs does not apply to topology 'cyclic_superclass'",
+            ),
         ],
     )
     def test_bad_seed_or_non_finite_value_exits_2(self, tmp_path, capsys, command, doc, key):
@@ -418,6 +430,19 @@ class TestExperimentCommands:
         code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 0, err
         assert (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,digest",
+        [
+            ("toy2d", "2a6777317c87be2e49ffae91a149db2569401d3b25f1bf381d8c212afcfb262a"),
+            ("noise_recovery", "b23af27091299228a73da9d7a32f818da0377a69d30bab5ce9b55f9d2c5f6841"),
+            ("mil_toy", "45799de855c2714562bed5f07571407b4e12d526252ceb222d486ebd0bd35cdb"),
+            ("sweep", "1505fd0186098e7c1707e60611fc54f7511d9773e2818e2ef680aaf36acee3a6"),
+        ],
+    )
+    def test_default_config_is_pinned(self, experiment, digest):
+        # the hash is sha256 of sorted-key JSON, so it holds on every platform
+        assert experiments.config_hash(experiments.default_config(experiment)) == digest
 
     def test_largest_int64_size_passes_validation(self):
         cfg = experiments.default_config("noise_recovery")

@@ -157,7 +157,7 @@ class TestMixtureMeansCache:
 class TestMilBags:
     def test_full_rate_means_positive_bags_are_pure(self):
         bags = make_mil_bags(20, 30, positive_instance_rate=1.0, seed=0)
-        _, inherited, truth, _ = bags.flatten()
+        _, inherited, truth = bags.flatten()
         np.testing.assert_array_equal(inherited, truth)
 
     def test_expected_positive_count_per_bag(self):

@@ -78,7 +78,7 @@ class TestDualMarginFarImplausibleCell:
         alpha, beta = 0.01, 1e4
         q = np.zeros((6, 6), dtype=bool)
         q[list(plausible), t] = True
-        _, grad = batch_loss_and_grad(z[None, :], np.array([t]), q, LossParams(alpha, beta, reduction="none"))
+        _, grad = batch_loss_and_grad(z[None, :], np.array([t]), q, LossParams(alpha, beta))
         with mp.workdps(60):
             h = mp.mpf("1e-25")
             for c in range(6):

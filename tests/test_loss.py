@@ -21,6 +21,7 @@ from dualmargin import (
     sets_from_q,
     softmax,
 )
+from dualmargin.loss import _kernel
 
 
 def pset(class_count, members, target):
@@ -31,9 +32,8 @@ def pset(class_count, members, target):
 
 
 def row_grad(z, target, q, params):
-    """The gradient of one row's loss, from a batch of one."""
-    one_row = LossParams(params.alpha, params.beta, reduction="none")
-    _, grad = batch_loss_and_grad(np.asarray(z, dtype=np.float64)[None, :], [target], q, one_row)
+    """The gradient of one row's loss, from a batch of one: the mean of one row is that row."""
+    _, grad = batch_loss_and_grad(np.asarray(z, dtype=np.float64)[None, :], [target], q, params)
     return grad[0]
 
 
@@ -56,11 +56,6 @@ class TestParamsAndSets:
             LossParams(0.0, 0.0)
         params = LossParams(0.0, 0.0, allow_degenerate=True)
         assert params.alpha == 0.0
-
-    def test_bad_reduction_rejected(self):
-        for reduction in ("max", "sum"):
-            with pytest.raises(ValueError):
-                LossParams(1.0, 0.0, reduction=reduction)
 
     def test_target_forced_into_set(self):
         # column 0 of Q leaves out class 0 itself; the loss reads it as {0, 1}
@@ -132,12 +127,12 @@ class TestLogitForm:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         z = [40.0, 0.0, 0.0]
-        params = LossParams(0.1, 10.0, reduction="none")
+        params = LossParams(0.1, 10.0)
         exps = [mp.e ** mp.mpf(v) for v in z]
         p_t = exps[0] / sum(exps)
         expected = float(mp.log(1 + (mp.mpf("0.1") + 10) * (1 - p_t) / p_t))
         got = loss_from_logits(z, 0, pset(3, [0], 0), params).loss
-        batched = batch_loss(np.array([z]), [0], np.eye(3, dtype=bool), params)[0]
+        batched = batch_loss(np.array([z]), [0], np.eye(3, dtype=bool), params)
         assert 0.0 < expected < 1e-15
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert batched == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -277,7 +272,7 @@ class TestBatch:
     def test_single_row_matches_single_sample(self):
         z = np.array([0.3, -1.2, 2.0])
         q = np.eye(3, dtype=bool)
-        params = LossParams(1.0, 2.0, reduction="mean")
+        params = LossParams(1.0, 2.0)
         single = loss_from_logits(z, 1, pset(3, [1], 1), params).loss
         batched = batch_loss(z[None, :], [1], q, params)
         assert batched == pytest.approx(single, abs=1e-15)
@@ -285,7 +280,7 @@ class TestBatch:
     def test_mean_of_identical_rows_equals_single(self):
         z = np.array([0.3, -1.2, 2.0])
         q = np.eye(3, dtype=bool)
-        params = LossParams(0.4, 3.0, reduction="mean")
+        params = LossParams(0.4, 3.0)
         single = loss_from_logits(z, 1, pset(3, [1], 1), params).loss
         batched = batch_loss(np.stack([z, z]), [1, 1], q, params)
         assert batched == pytest.approx(single, abs=1e-15)
@@ -308,7 +303,7 @@ class TestBatch:
         Z = rng.normal(0, 1.5, size=(4, 5))
         targets = rng.integers(0, 5, size=4)
         q = rng.random((5, 5)) < 0.5
-        params = LossParams(0.7, 2.0, reduction="mean")
+        params = LossParams(0.7, 2.0)
         _, G = batch_loss_and_grad(Z, targets, q, params)
         for b in range(4):
             expected = row_grad(Z[b], targets[b], q, params) / 4
@@ -354,17 +349,18 @@ class TestBatch:
             "all_classes": np.ones((C, C), dtype=bool),
             "random": rng.random((C, C)) < 0.5,
         }[q_kind]
-        params = LossParams(alpha, beta, reduction="none")
+        params = LossParams(alpha, beta)
         _, G = batch_loss_and_grad(Z, targets, q, params)
-        # rows are independent, so shifting one column of every row at once
-        # gives each row's own central difference
+        # the central difference of the batch mean, one entry at a time; B
+        # times it is that row's own gradient
         step = 1e-5
         fd = np.empty_like(Z)
-        for c in range(C):
-            shift = np.zeros(C)
-            shift[c] = step
-            fd[:, c] = (batch_loss(Z + shift, targets, q, params) - batch_loss(Z - shift, targets, q, params)) / (2 * step)
-        np.testing.assert_allclose(G, fd, rtol=2e-6, atol=1e-9)
+        for b in range(B):
+            for c in range(C):
+                shift = np.zeros((B, C))
+                shift[b, c] = step
+                fd[b, c] = (batch_loss(Z + shift, targets, q, params) - batch_loss(Z - shift, targets, q, params)) / (2 * step)
+        np.testing.assert_allclose(B * G, B * fd, rtol=2e-6, atol=1e-9)
 
 
 @st.composite
@@ -382,12 +378,13 @@ def dual_margin_cases(draw):
 
 
 def losses_both_ways(rows, t, mask, alpha, beta):
-    """Per-row losses from ``loss_from_logits`` and from one ``batch_loss_and_grad`` call."""
+    """Per-row losses from ``loss_from_logits`` and from one batched kernel call."""
     rows = np.asarray(rows, dtype=np.float64)
     q = np.zeros((mask.size, mask.size), dtype=bool)
     q[:, t] = mask  # sets_from_q reads the target's column
     single = np.array([loss_from_logits(z, t, q, LossParams(alpha, beta)).loss for z in rows])
-    batched, _ = batch_loss_and_grad(rows, np.full(len(rows), t), q, LossParams(alpha, beta, reduction="none"))
+    targets = np.full(len(rows), t)
+    batched, _, _ = _kernel(rows, sets_from_q(q, targets), targets, alpha, beta, want_grad=False)
     return single, batched
 
 

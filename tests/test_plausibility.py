@@ -13,6 +13,7 @@ from dualmargin import (
     sets_from_q,
     build_transition,
     NoiseSpec,
+    TransitionMatrix,
 )
 from dualmargin.plausibility import load_q_text, q_from_text
 
@@ -80,8 +81,8 @@ class TestMil:
         rng = np.random.default_rng(2)
         q = q_mil()
         alpha, beta = 0.1, 10.0
-        dual_margin = LossParams(alpha, beta, reduction="none")
-        ce = LossParams(1.0, 0.0, reduction="none")
+        dual_margin = LossParams(alpha, beta)
+        ce = LossParams(1.0, 0.0)
         for _ in range(50):
             z = rng.normal(0, 2, size=(1, 2))
             _, g_neg = batch_loss_and_grad(z, [0], q, dual_margin)
@@ -118,7 +119,7 @@ class TestFromTransition:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            q_from_transition(np.ones((2, 3)))
+            TransitionMatrix(probs=np.ones((2, 3)) / 3)
 
 
 class TestConsumption:

@@ -23,7 +23,7 @@ from dualmargin import (
 )
 from dualmargin import training
 from dualmargin.loss import batch_loss, sets_from_q
-from dualmargin.training import _backward, _forward, init_model
+from dualmargin.training import _backward, _forward, init_model, predict_logits
 
 
 def same_group(groups):
@@ -110,18 +110,6 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(data, None, cfg)
 
-    def test_dual_margin_reduction_is_forced_to_mean(self):
-        data, test = separable_mixture()
-        q = same_group([0, 0, 1, 1])
-        common = dict(learning_rate=0.1, epochs=2, batch_size=64, seed=0)
-        summed, mean = LossParams(0.1, 10.0, reduction="none"), LossParams(0.1, 10.0)
-        model_none, report_none = train(data, q, TrainConfig(loss_params=summed, **common), test_data=test)
-        model_mean, report_mean = train(data, q, TrainConfig(loss_params=mean, **common), test_data=test)
-        assert summed.reduction == "none"  # the caller's params are left as they were
-        assert report_none.train_curve == report_mean.train_curve
-        for a, b in zip(model_none.weights + model_none.biases, model_mean.weights + model_mean.biases):
-            assert a.tobytes() == b.tobytes()
-
     def test_cross_entropy_with_q_reports_masses_and_checks_shape(self):
         data, test = separable_mixture()
         cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=0)
@@ -144,7 +132,7 @@ class TestBackprop:
         X = rng.normal(size=(7, 3))
         y = rng.integers(0, 4, size=7)
         q = rng.random((4, 4)) < 0.5
-        params = LossParams(0.6, 3.0, reduction="mean")
+        params = LossParams(0.6, 3.0)
         model = init_model(architecture, 3, 4, 5, rng)
 
         def total_loss(m):
@@ -418,6 +406,25 @@ class TestMilTraining:
             "recall_positive",
             "recall_negative_in_positive_bags",
         }
+
+    def test_negative_in_positive_bags_recall_counts_bag_by_bag(self):
+        bags = make_mil_bags(12, 15, positive_instance_rate=0.3, dim=2, seed=3)
+        assert set(bags.bag_labels) == {0, 1}
+        cfg = TrainConfig(learning_rate=0.2, epochs=10, batch_size=64, seed=2, loss_params=LossParams(1.0, 1.0))
+        report = train_mil_instances(bags, cfg, q=q_mil())
+        # the same instances and supervision give the same model
+        X, inherited, truth = bags.flatten()
+        model, alone = train(LabeledDataset(X, truth, 2, noisy_labels=inherited), q_mil(), cfg)
+        assert alone.clean_test_accuracy == report.clean_test_accuracy
+        preds = np.argmax(predict_logits(model, X), axis=1)
+        hits = total = lo = 0
+        for label, instance_truth in zip(bags.bag_labels, bags.instance_truth):
+            bag_preds, lo = preds[lo : lo + instance_truth.size], lo + instance_truth.size
+            if label == 1:
+                hits += int(np.sum(bag_preds[instance_truth == 0] == 0))
+                total += int(np.sum(instance_truth == 0))
+        assert total > 0
+        assert report.extras["recall_negative_in_positive_bags"] == hits / total
 
 
 class TestConfigValidation:
