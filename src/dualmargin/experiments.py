@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__
 from .datasets import make_gaussian_mixture, make_mil_bags, make_ring
 from .loss import LossParams
-from .noise import TOPOLOGIES, NoiseSpec, build_transition, corrupt_labels
+from .noise import LAYOUT_TOPOLOGIES, TOPOLOGIES, NoiseSpec, build_transition, corrupt_labels
 from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
     ARCHITECTURES,
@@ -219,8 +219,8 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError("loss.alpha and loss.beta must not both be 0")
     if noise is None:
         return cfg
-    for key, topology in (("sinks", "column"), ("pairs", "asymmetric_pairs"), ("group_size", "superclass")):
-        if key in noise and not noise["topology"].endswith(topology):
+    for key, topologies in LAYOUT_TOPOLOGIES.items():
+        if key in noise and noise["topology"] not in topologies:
             raise ValueError(f"noise.{key} does not apply to topology '{noise['topology']}'")
     if noise["topology"] == "column" and C < 2:
         raise ValueError(f"dataset.class_count must be >= 2 for column noise, got {C}")
@@ -233,7 +233,7 @@ def validate_config(cfg: dict) -> dict:
         if key in noise and np.max(noise[key]) >= C:
             raise ValueError(f"noise.{key} must name classes below dataset.class_count {C}, got {noise[key]!r}")
     group_size = noise.get("group_size")
-    if noise["topology"].endswith("superclass") and (group_size is None or C % group_size):
+    if noise["topology"] in LAYOUT_TOPOLOGIES["group_size"] and (group_size is None or C % group_size):
         raise ValueError(f"noise.group_size must be set and divide dataset.class_count {C}, got {group_size!r}")
     return cfg
 

@@ -156,28 +156,24 @@ def _log_or_neg_inf(w: float) -> float:
     return math.log(w) if w > 0.0 else float("-inf")
 
 
-def _cell_lse(cell_max: np.ndarray, cell_sum: np.ndarray) -> np.ndarray:
-    """Cell log-sum-exp from its max and shifted sum; -inf for an empty cell."""
-    return cell_max + np.log(cell_sum, out=np.full_like(cell_sum, -np.inf), where=cell_sum > 0.0)
-
-
 def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: float, beta: float, want_grad: bool):
     """Per-sample losses, the (B, C) gradient (None unless ``want_grad``) and
     the pooled terms as arrays keyed by :class:`LossBreakdown` field.
 
     The three-cell, single-exp form is described in the module docstring.
     """
-    rows = np.arange(Z.shape[0])
+    # each row's target as a row-major flat index, which take and put honour on any layout
+    at_t = np.arange(0, Z.size, Z.shape[1]) + targets
     log_alpha = _log_or_neg_inf(alpha)
     log_beta = _log_or_neg_inf(beta)
-    z_t = Z[rows, targets]
+    z_t = Z.take(at_t)
 
     # one work array holds P's values, then N's, then each entry's cell max,
     # then S's 0/1 mask; the masked copies keep np.where's exact values.  They
     # are cheap on the row-structured masks of the Q builders, dearer than
     # np.where on unstructured ones
     work = np.where(set_masks, Z, -np.inf)
-    work[rows, targets] = -np.inf
+    work.put(at_t, -np.inf)
     max_p = work.max(axis=1)
     np.copyto(work, Z)
     np.copyto(work, -np.inf, where=set_masks)
@@ -185,13 +181,17 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     np.copyto(work, max_n[:, None])
     np.copyto(work, max_p[:, None], where=set_masks)
     e = np.subtract(Z, work)
-    e[rows, targets] = -np.inf
+    e.put(at_t, -np.inf)
     np.exp(e, out=e)
     # each cell sum is a row dot product with the cell's 0/1 mask; e is 0 at
-    # the target, so S's mask sums P, and 1 - mask is N's
+    # the target, so S's mask sums P, and 1 - mask is N's.  A cell sums to >= 1
+    # (e^0 at its max) unless empty; then its lse is -inf + log(0) = -inf
     np.copyto(work, set_masks)
-    lse_p = _cell_lse(max_p, np.einsum("ij,ij->i", e, work))
-    lse_n = _cell_lse(max_n, np.einsum("ij,ij->i", e, np.subtract(1.0, work, out=work)))
+    sum_p = np.einsum("ij,ij->i", e, work)
+    sum_n = np.einsum("ij,ij->i", e, np.subtract(1.0, work, out=work))
+    with np.errstate(divide="ignore"):
+        lse_p = max_p + np.log(sum_p)
+        lse_n = max_n + np.log(sum_n)
 
     lse_s = np.logaddexp(z_t, lse_p)
     lse_nt = np.logaddexp(lse_p, lse_n)
@@ -225,7 +225,7 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     np.copyto(work, coef_n[:, None])
     np.copyto(work, coef_p[:, None], where=set_masks)
     e *= work
-    e[rows, targets] = -np.exp(term_a - losses) - np.exp(log_b + z_t)
+    e.put(at_t, -np.exp(term_a - losses) - np.exp(log_b + z_t))
     return losses, e, terms
 
 
@@ -253,12 +253,16 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
     q = np.asarray(q, dtype=bool)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
-    C = q.shape[0]
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1:
         raise ValueError("targets must be 1-D")
-    if targets.size and (targets.min() < 0 or targets.max() >= C):
-        raise ValueError(f"targets out of range [0, {C})")
+    return _gather_sets(q, targets)
+
+
+def _gather_sets(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """:func:`sets_from_q` on a square boolean Q and 1-D int targets, which it range-checks."""
+    if targets.size and (targets.min() < 0 or targets.max() >= len(q)):
+        raise ValueError(f"targets out of range [0, {len(q)})")
     # fancy indexing copies only the B selected columns; they are contiguous
     # rows of q.T when Q is in Fortran order
     masks = q.T[targets]
@@ -271,7 +275,9 @@ def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("Z must be a (batch, classes) array")
-    if not np.all(np.isfinite(Z)):
+    if Z.shape[0] == 0:
+        raise ValueError("empty batch")
+    if not np.isfinite(Z).all():
         raise ValueError("logits must be finite")
     targets = np.asarray(targets, dtype=int)
     if targets.shape != (Z.shape[0],):
@@ -285,19 +291,19 @@ def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             RuntimeWarning,
             stacklevel=3,
         )
-    return Z, targets, sets_from_q(q, targets)
+    return Z, targets, _gather_sets(q, targets)
 
 
 def batch_loss(Z, targets, q, params: LossParams) -> float:
-    """Mean loss of a batch whose per-sample sets are read from the columns of Q."""
+    """Mean loss of a nonempty batch whose per-sample sets are read from the columns of Q."""
     Z, targets, masks = _validate_batch(Z, targets, q)
     losses, _, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
-    return float(losses.mean())
+    return float(losses.sum()) / Z.shape[0]
 
 
 def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
-    """Mean batch loss plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B."""
+    """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B."""
     Z, targets, masks = _validate_batch(Z, targets, q)
     losses, grads, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=True)
     grads /= Z.shape[0]
-    return float(losses.mean()), grads
+    return float(losses.sum()) / Z.shape[0], grads

@@ -31,12 +31,20 @@ __all__ = [
     "NoiseSpec",
     "TransitionMatrix",
     "TOPOLOGIES",
+    "LAYOUT_TOPOLOGIES",
     "default_column_sinks",
     "build_transition",
     "corrupt_labels",
 ]
 
 TOPOLOGIES = ("column", "asymmetric_pairs", "cyclic_superclass", "block_superclass")
+
+# the topologies that read each optional layout key of a NoiseSpec
+LAYOUT_TOPOLOGIES = {
+    "sinks": ("column",),
+    "pairs": ("asymmetric_pairs",),
+    "group_size": ("cyclic_superclass", "block_superclass"),
+}
 
 ROW_SUM_TOL = 1e-12
 
@@ -46,8 +54,9 @@ class NoiseSpec:
     """Which corruption topology to build, at what rate, with what layout.
 
     ``sinks`` applies to ``column``; ``pairs`` (list of (src, dst)) to
-    ``asymmetric_pairs``; ``group_size`` to the superclass topologies.
-    Leaving ``sinks`` unset picks :func:`default_column_sinks`.
+    ``asymmetric_pairs``; ``group_size`` to the superclass topologies; a key
+    set for another topology is rejected.  Leaving ``sinks`` unset picks
+    :func:`default_column_sinks`.
     """
 
     topology: str
@@ -62,6 +71,9 @@ class NoiseSpec:
         self.eta = float(self.eta)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        for key, topologies in LAYOUT_TOPOLOGIES.items():
+            if getattr(self, key) is not None and self.topology not in topologies:
+                raise ValueError(f"{key} does not apply to topology '{self.topology}'")
 
 
 @dataclass
@@ -139,7 +151,7 @@ def build_transition(spec: NoiseSpec, class_count: int) -> TransitionMatrix:
             T[src, src] = 1.0 - eta
             T[src, dst] = eta
 
-    elif spec.topology in ("cyclic_superclass", "block_superclass"):
+    elif spec.topology in LAYOUT_TOPOLOGIES["group_size"]:
         g = spec.group_size
         if g is None or int(g) < 2:
             raise ValueError("superclass topologies need group_size >= 2")

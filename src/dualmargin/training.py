@@ -17,6 +17,7 @@ order.  Independent runs are safe to execute in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,17 +148,18 @@ def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     """Mean cross-entropy and its logit gradient (softmax minus one-hot).
 
     One (B, C) array holds the shifted logits, then their exp, then the
-    gradient.
+    gradient; the targets are read and written through their indices into
+    the flattened array, whatever its memory layout.
     """
-    B = logits.shape[0]
-    idx = np.arange(B)
+    B, C = logits.shape
+    at_t = np.arange(0, B * C, C) + targets
     grad = logits - logits.max(axis=1, keepdims=True)
-    z_t = grad[idx, targets]
+    z_t = grad.take(at_t)
     np.exp(grad, out=grad)
     total = grad.sum(axis=1)
-    loss = float((np.log(total) - z_t).mean())
+    loss = float((np.log(total) - z_t).sum()) / B
     grad /= (total * B)[:, None]
-    grad[idx, targets] -= 1.0 / B
+    grad.put(at_t, grad.take(at_t) - 1.0 / B)
     return loss, grad
 
 
@@ -218,17 +220,17 @@ def train(
     velocity = [np.zeros_like(p) for p in layers]
 
     curve: list[float] = []
-    for epoch in range(cfg.epochs):
-        lr = _epoch_lr(cfg, epoch)
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            sel = order[lo : lo + cfg.batch_size]
-            Xb, yb = X[sel], y[sel]
-            # divergence is reported below, or by the weight check after the loop
-            with np.errstate(over="ignore", invalid="ignore"):
+    # divergence is reported below, or by the weight check after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = _epoch_lr(cfg, epoch)
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for lo in range(0, n, cfg.batch_size):
+                sel = order[lo : lo + cfg.batch_size]
+                Xb, yb = X[sel], y[sel]
                 logits, hidden = _forward(model, Xb)
-                if not np.all(np.isfinite(logits)):
+                if not np.isfinite(logits).all():
                     raise TrainingDivergedError(
                         f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
                     )
@@ -236,7 +238,7 @@ def train(
                     loss_value, grad_logits = _ce_loss_and_grad(logits, yb)
                 else:
                     loss_value, grad_logits = batch_loss_and_grad(logits, yb, q, params)
-                if not np.isfinite(loss_value):
+                if not math.isfinite(loss_value):
                     raise TrainingDivergedError(
                         f"non-finite loss {loss_value!r} at epoch {epoch}, batch offset {lo} "
                         f"(lr={lr:g}, loss={loss})"
@@ -246,7 +248,7 @@ def train(
                 for i, g in enumerate(grads_w + grads_b):
                     velocity[i] = cfg.momentum * velocity[i] + g
                     layers[i] -= lr * velocity[i]
-        curve.append(loss_sum / n)
+            curve.append(loss_sum / n)
     if not all(np.all(np.isfinite(p)) for p in layers):
         raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={loss})")
 

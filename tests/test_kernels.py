@@ -4,7 +4,9 @@ The cross-entropy step (``training._ce_loss_and_grad``) is checked against
 a 50-digit log-softmax oracle and at extreme logits; the dual-margin
 kernel against 50-digit central finite differences on a row whose
 implausible cell sits so far below its plausible cell that the two cell
-coefficients differ by more than the float64 precision.
+coefficients differ by more than the float64 precision.  Both kernels
+read and write each row's target entry through its index into the
+flattened logits, which must give the same bits on any memory layout.
 """
 
 import numpy as np
@@ -12,6 +14,39 @@ import pytest
 
 from dualmargin import LossParams, batch_loss_and_grad
 from dualmargin.training import _ce_loss_and_grad
+
+
+def layouts(Z):
+    """Copies of Z in Fortran order and as strided views of larger arrays."""
+    B, C = Z.shape
+    wide, tall = np.zeros((B, 2 * C)), np.zeros((2 * B, C))
+    wide[:, ::2] = Z
+    tall[::2] = Z
+    return {"fortran": np.asfortranarray(Z), "column-strided": wide[:, ::2], "row-strided": tall[::2]}
+
+
+class TestLogitLayout:
+    @pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
+    @pytest.mark.parametrize("C, losses", [(7, ("dm", "ce")), (40, ("dm",))])
+    def test_every_layout_gives_the_c_ordered_bits(self, layout, C, losses):
+        # from 8 columns on numpy sums the rows of a Fortran-ordered array in
+        # another order, which moves the last bits of the CE softmax total
+        rng = np.random.default_rng(C)
+        Z = rng.normal(scale=4.0, size=(33, C))
+        targets = rng.integers(0, C, size=33)
+        q = rng.random((C, C)) < 0.4
+        steps = {
+            "dm": lambda z: batch_loss_and_grad(z, targets, q, LossParams(0.3, 5.0)),
+            "ce": lambda z: _ce_loss_and_grad(z, targets),
+        }
+        other = layouts(Z)[layout]
+        assert not other.flags.c_contiguous
+        for loss in losses:
+            want_loss, want_grad = steps[loss](Z)
+            got_loss, got_grad = steps[loss](other)
+            assert got_loss == want_loss, loss
+            np.testing.assert_array_equal(got_grad, want_grad, err_msg=loss)
+
 
 mp = pytest.importorskip("mpmath")
 

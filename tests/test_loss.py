@@ -289,6 +289,13 @@ class TestBatch:
         with pytest.raises(ValueError):
             batch_loss(np.zeros((1, 3)), [3], np.eye(3, dtype=bool), LossParams(1.0, 0.0))
 
+    def test_empty_batch_raises(self):
+        q, params = np.eye(3, dtype=bool), LossParams(1.0, 1.0)
+        with pytest.raises(ValueError, match="^empty batch$"):
+            batch_loss(np.zeros((0, 3)), [], q, params)
+        with pytest.raises(ValueError, match="^empty batch$"):
+            batch_loss_and_grad(np.zeros((0, 3)), [], q, params)
+
     @pytest.mark.parametrize("q_size", [1, 3])
     def test_q_of_another_class_count_raises(self, q_size):
         # a 1 x 1 Q would broadcast and mark all 6 classes plausible

@@ -117,6 +117,25 @@ class TestRowStochastic:
             NoiseSpec("funnel", 0.5)
 
 
+class TestLayoutKeys:
+    @pytest.mark.parametrize(
+        "topology, layout, stray",
+        [
+            ("column", {}, {"group_size": 3}),
+            ("column", {"sinks": (3, 5)}, {"pairs": [(0, 1)]}),
+            ("asymmetric_pairs", {"pairs": [(0, 1)]}, {"sinks": (1, 2)}),
+            ("asymmetric_pairs", {"pairs": [(0, 1)]}, {"group_size": 2}),
+            ("cyclic_superclass", {"group_size": 2}, {"sinks": (0, 1)}),
+            ("block_superclass", {"group_size": 2}, {"pairs": [(0, 1)]}),
+        ],
+    )
+    def test_a_key_its_topology_never_reads_is_rejected(self, topology, layout, stray):
+        build_transition(NoiseSpec(topology, 0.3, **layout), 10)
+        (key,) = stray
+        with pytest.raises(ValueError, match=f"^{key} does not apply to topology '{topology}'$"):
+            NoiseSpec(topology, 0.3, **layout, **stray)
+
+
 class TestCorruption:
     def test_identity_leaves_labels_unchanged(self):
         t = build_transition(NoiseSpec("column", 0.0), 10)

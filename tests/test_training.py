@@ -102,6 +102,17 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match="weights"):
                 train(data, None, cfg)
 
+    @pytest.mark.parametrize("loss_params", [None, LossParams(0.5, 5.0)])
+    def test_divergence_mid_epoch_warns_nothing_and_restores_the_error_state(self, loss_params):
+        data = make_gaussian_mixture(4, dim=3, n_per_class=40, class_separation=4.0, seed=0)
+        cfg = TrainConfig(learning_rate=1e307, epochs=2, batch_size=16, seed=0, loss_params=loss_params)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError, match="non-finite logits at epoch 0, batch offset 16 "):
+                train(data, np.eye(4, dtype=bool), cfg)
+        assert np.geterr() == before
+
     def test_dual_margin_requires_q(self):
         data, _ = separable_mixture()
         cfg = TrainConfig(
