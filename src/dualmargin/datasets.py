@@ -131,12 +131,13 @@ def _min_pairwise_distance(means: np.ndarray) -> np.float64:
     count, dim = means.shape
     rows = max(1, _BLOCK_BYTES // (count * dim * means.itemsize))
     best = np.inf
-    for lo in range(0, count, rows):
-        block = means[lo : lo + rows, None, :] - means[None, :, :]
+    for lo in range(0, count - 1, rows):
+        # each pair once: block row i (row lo + i) against rows after lo + i;
+        # (a - b)**2 and (b - a)**2 are the same bits
+        block = means[lo : lo + rows, None, :] - means[None, lo + 1 :, :]
         block *= block
         sq = np.add.reduce(block, axis=2)
-        k = np.arange(sq.shape[0])
-        sq[k, lo + k] = np.inf
+        sq[np.tril_indices(sq.shape[0], -1, sq.shape[1])] = np.inf
         best = min(best, sq.min())
     return np.sqrt(best)
 

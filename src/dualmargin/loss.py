@@ -26,8 +26,10 @@ and evaluates it in a single pass over the logits.  Each row splits into
 three disjoint cells, ``{t}``, ``P = S - {t}`` and ``N``.  Every entry of P
 and N is shifted by the max of its own cell, so one ``exp`` over the whole
 (B, C) batch yields both cell sums, with no overflow for any finite logit
-and full relative accuracy within each cell.  The pooled scores follow
-from the two cell log-sum-exps,
+and full relative accuracy within each cell.  Below 17 classes the two
+cell maxima are reduced class-major, which is faster on such narrow rows
+and, a maximum being exact in any order, gives the same bits.  The pooled
+scores follow from the two cell log-sum-exps,
 
     lse(z, C-{t}) = logaddexp(lse P, lse N),   lse(z, S) = logaddexp(z_t, lse P),
 
@@ -139,8 +141,8 @@ def loss_from_probs(p, target: int, q, params: LossParams) -> float:
         raise ValueError("probabilities must lie in [0, 1]")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    _, targets, masks = _validate_batch(p[None, :], [target], q)
-    t, mask = targets[0], masks[0]
+    _, at_t, masks = _validate_batch(p[None, :], [target], q)
+    t, mask = at_t[0], masks[0]  # row 0's flat index is its target
     p_t = p[t]
     p_set = p[mask].sum()
     if p_t <= 0.0:
@@ -156,14 +158,21 @@ def _log_or_neg_inf(w: float) -> float:
     return math.log(w) if w > 0.0 else float("-inf")
 
 
-def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: float, beta: float, want_grad: bool):
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)``, reduced class-major up to 16 columns, where numpy's
+    inner-loop call per row dominates; a maximum is exact in any order."""
+    if a.shape[1] <= 16:
+        return np.ascontiguousarray(a.T).max(axis=0)
+    return a.max(axis=1)
+
+
+def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float, beta: float, want_grad: bool):
     """Per-sample losses, the (B, C) gradient (None unless ``want_grad``) and
     the pooled terms as arrays keyed by :class:`LossBreakdown` field.
 
-    The three-cell, single-exp form is described in the module docstring.
+    ``at_t`` holds each row's target as a row-major flat index, which take and
+    put honour on any layout.  The form is described in the module docstring.
     """
-    # each row's target as a row-major flat index, which take and put honour on any layout
-    at_t = np.arange(0, Z.size, Z.shape[1]) + targets
     log_alpha = _log_or_neg_inf(alpha)
     log_beta = _log_or_neg_inf(beta)
     z_t = Z.take(at_t)
@@ -174,10 +183,10 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, targets: np.ndarray, alpha: fl
     # np.where on unstructured ones
     work = np.where(set_masks, Z, -np.inf)
     work.put(at_t, -np.inf)
-    max_p = work.max(axis=1)
+    max_p = _row_max(work)
     np.copyto(work, Z)
     np.copyto(work, -np.inf, where=set_masks)
-    max_n = work.max(axis=1)
+    max_n = _row_max(work)
     np.copyto(work, max_n[:, None])
     np.copyto(work, max_p[:, None], where=set_masks)
     e = np.subtract(Z, work)
@@ -239,8 +248,8 @@ def loss_from_logits(z, target: int, q, params: LossParams) -> LossBreakdown:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("logits must be a 1-D array")
-    Z, targets, masks = _validate_batch(z[None, :], [target], q)
-    _, _, terms = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
+    Z, at_t, masks = _validate_batch(z[None, :], [target], q)
+    _, _, terms = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=False)
     return LossBreakdown(constant_term=0.0, **{name: float(v[0]) for name, v in terms.items()})
 
 
@@ -256,22 +265,25 @@ def sets_from_q(q: np.ndarray, targets) -> np.ndarray:
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1:
         raise ValueError("targets must be 1-D")
-    return _gather_sets(q, targets)
+    return _gather_sets(q, targets)[1]
 
 
-def _gather_sets(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """:func:`sets_from_q` on a square boolean Q and 1-D int targets, which it range-checks."""
+def _gather_sets(q: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each target's row-major flat index and the masks of :func:`sets_from_q`,
+    on a square boolean Q and 1-D int targets, which it range-checks."""
     if targets.size and (targets.min() < 0 or targets.max() >= len(q)):
         raise ValueError(f"targets out of range [0, {len(q)})")
     # fancy indexing copies only the B selected columns; they are contiguous
     # rows of q.T when Q is in Fortran order
     masks = q.T[targets]
-    masks[np.arange(targets.size), targets] = True
-    return masks
+    # after the range check, which a (B, 0) batch fails; a 0 x 0 Q needs step 1
+    at_t = np.arange(0, masks.size, len(q) or 1) + targets
+    masks.put(at_t, True)
+    return at_t, masks
 
 
 def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked float64 logits, the targets and their plausible-set masks."""
+    """Checked float64 logits, each target's row-major flat index, the set masks."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("Z must be a (batch, classes) array")
@@ -291,19 +303,19 @@ def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             RuntimeWarning,
             stacklevel=3,
         )
-    return Z, targets, _gather_sets(q, targets)
+    return (Z, *_gather_sets(q, targets))
 
 
 def batch_loss(Z, targets, q, params: LossParams) -> float:
     """Mean loss of a nonempty batch whose per-sample sets are read from the columns of Q."""
-    Z, targets, masks = _validate_batch(Z, targets, q)
-    losses, _, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=False)
+    Z, at_t, masks = _validate_batch(Z, targets, q)
+    losses, _, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=False)
     return float(losses.sum()) / Z.shape[0]
 
 
 def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
     """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B."""
-    Z, targets, masks = _validate_batch(Z, targets, q)
-    losses, grads, _ = _kernel(Z, masks, targets, params.alpha, params.beta, want_grad=True)
+    Z, at_t, masks = _validate_batch(Z, targets, q)
+    losses, grads, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
     grads /= Z.shape[0]
     return float(losses.sum()) / Z.shape[0], grads

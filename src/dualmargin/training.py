@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import LossParams, batch_loss_and_grad, sets_from_q, softmax
+from .loss import LossParams, _row_max, batch_loss_and_grad, sets_from_q, softmax
 
 __all__ = [
     "ModelParams",
@@ -149,11 +149,13 @@ def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
     One (B, C) array holds the shifted logits, then their exp, then the
     gradient; the targets are read and written through their indices into
-    the flattened array, whatever its memory layout.
+    the flattened array.  Logits of another layout are copied to C order
+    first, since numpy sums a Fortran-ordered row in another order.
     """
+    logits = np.ascontiguousarray(logits)
     B, C = logits.shape
     at_t = np.arange(0, B * C, C) + targets
-    grad = logits - logits.max(axis=1, keepdims=True)
+    grad = logits - _row_max(logits)[:, None]
     z_t = grad.take(at_t)
     np.exp(grad, out=grad)
     total = grad.sum(axis=1)

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, golden output, artifacts, determinism."""
 
 import csv
+import importlib.util
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualmargin import LossParams, experiments, loss_from_logits, training
+from dualmargin import LossParams, cli, experiments, loss_from_logits, training
 from dualmargin.cli import main
 from dualmargin.plausibility import q_ordinal
 
@@ -827,3 +828,20 @@ def test_benchmark_kernel_probe_runs(tmp_path):
     metrics = json.loads(record.read_text())
     assert set(metrics) == {f"{kind}.{shape}" for kind in kinds for shape in shapes} | {"noise.corrupt_us.1e5"}
     assert all(math.isfinite(value) and value > 0 for value in metrics.values())
+
+
+def test_every_artifact_digest_config_is_valid(tmp_path, monkeypatch, capsys):
+    """Each run of ``tools/artifact_digests.py`` gets through the CLI's
+    config handling to ``validate_config``; nothing trains."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    validated = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: validated.append(experiments.validate_config(cfg)))
+    runs = tool.configs()
+    assert len({name for name, *_ in runs}) == len(runs)
+    for run in runs:
+        code, _, err = run_cli(tool.cli_argv(tmp_path, *run), capsys)
+        assert code == 0, (run[0], err)
+    assert len(validated) == len(runs)

@@ -6,13 +6,15 @@ kernel against 50-digit central finite differences on a row whose
 implausible cell sits so far below its plausible cell that the two cell
 coefficients differ by more than the float64 precision.  Both kernels
 read and write each row's target entry through its index into the
-flattened logits, which must give the same bits on any memory layout.
+flattened logits, which must give the same bits on any memory layout,
+and take their row maxima class-major on narrow rows, which must give
+the bits of the row-wise maxima.
 """
 
 import numpy as np
 import pytest
 
-from dualmargin import LossParams, batch_loss_and_grad
+from dualmargin import LossParams, batch_loss_and_grad, loss, sets_from_q, training
 from dualmargin.training import _ce_loss_and_grad
 
 
@@ -27,10 +29,10 @@ def layouts(Z):
 
 class TestLogitLayout:
     @pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
-    @pytest.mark.parametrize("C, losses", [(7, ("dm", "ce")), (40, ("dm",))])
-    def test_every_layout_gives_the_c_ordered_bits(self, layout, C, losses):
+    @pytest.mark.parametrize("C", [7, 40])
+    def test_every_layout_gives_the_c_ordered_bits(self, layout, C):
         # from 8 columns on numpy sums the rows of a Fortran-ordered array in
-        # another order, which moves the last bits of the CE softmax total
+        # another order, so the CE step copies other layouts to C order
         rng = np.random.default_rng(C)
         Z = rng.normal(scale=4.0, size=(33, C))
         targets = rng.integers(0, C, size=33)
@@ -41,11 +43,48 @@ class TestLogitLayout:
         }
         other = layouts(Z)[layout]
         assert not other.flags.c_contiguous
-        for loss in losses:
-            want_loss, want_grad = steps[loss](Z)
-            got_loss, got_grad = steps[loss](other)
-            assert got_loss == want_loss, loss
-            np.testing.assert_array_equal(got_grad, want_grad, err_msg=loss)
+        for name, step in steps.items():
+            want_loss, want_grad = step(Z)
+            got_loss, got_grad = step(other)
+            assert got_loss == want_loss, name
+            np.testing.assert_array_equal(got_grad, want_grad, err_msg=name)
+
+
+class TestRowMaxWidthThreshold:
+    @pytest.mark.parametrize("C", [2, 8, 16, 17])
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
+    def test_class_major_maxima_give_the_row_wise_bits(self, monkeypatch, C, scale):
+        rng = np.random.default_rng(C)
+        Z = rng.normal(scale=scale, size=(50, C))
+        Z[:, 0], Z[:, 1] = 0.0, -0.0
+        Z[3] = 0.0
+        Z[3, 1] = -0.0  # a row of +0 but one -0
+        targets = rng.integers(0, C, size=50)
+        q = rng.random((C, C)) < 0.3
+        q[:, 0] = False  # target 0: P is empty
+        q[:, 1] = True  # target 1: N is empty
+        targets[:4] = [0, 1, 0, 1]
+
+        def steps():
+            return [
+                batch_loss_and_grad(Z, targets, q, LossParams(0.3, 5.0)),
+                batch_loss_and_grad(Z, targets, q, LossParams(0.0, 1.0)),
+                _ce_loss_and_grad(Z, targets),
+            ]
+
+        class_major = steps()
+        monkeypatch.setattr(loss, "_row_max", lambda a: a.max(axis=1))
+        monkeypatch.setattr(training, "_row_max", loss._row_max)
+        for (want_loss, want_grad), (got_loss, got_grad) in zip(class_major, steps()):
+            assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+            assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_a_batch_of_no_classes_raises_value_error(self):
+        with pytest.raises(ValueError, match="out of range"):
+            batch_loss_and_grad(np.zeros((2, 0)), [0, 0], np.zeros((0, 0), dtype=bool), LossParams(1.0, 1.0))
+
+    def test_no_targets_of_no_classes_give_an_empty_set_matrix(self):
+        assert sets_from_q(np.zeros((0, 0), dtype=bool), []).shape == (0, 0)
 
 
 mp = pytest.importorskip("mpmath")

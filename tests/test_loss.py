@@ -21,7 +21,7 @@ from dualmargin import (
     sets_from_q,
     softmax,
 )
-from dualmargin.loss import _kernel
+from dualmargin.loss import _gather_sets, _kernel
 
 
 def pset(class_count, members, target):
@@ -390,8 +390,8 @@ def losses_both_ways(rows, t, mask, alpha, beta):
     q = np.zeros((mask.size, mask.size), dtype=bool)
     q[:, t] = mask  # sets_from_q reads the target's column
     single = np.array([loss_from_logits(z, t, q, LossParams(alpha, beta)).loss for z in rows])
-    targets = np.full(len(rows), t)
-    batched, _, _ = _kernel(rows, sets_from_q(q, targets), targets, alpha, beta, want_grad=False)
+    at_t, masks = _gather_sets(q, np.full(len(rows), t))
+    batched, _, _ = _kernel(rows, masks, at_t, alpha, beta, want_grad=False)
     return single, batched
 
 
