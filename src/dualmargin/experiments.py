@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__
 from .datasets import make_gaussian_mixture, make_mil_bags, make_ring
 from .loss import LossParams
-from .noise import LAYOUT_TOPOLOGIES, TOPOLOGIES, NoiseSpec, build_transition, corrupt_labels
+from .noise import TOPOLOGIES, NoiseSpec, build_transition, check_layout, corrupt_labels
 from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
     ARCHITECTURES,
@@ -204,7 +204,8 @@ def validate_config(cfg: dict) -> dict:
     a bool is no number).  Each value lies in its ``_BOUNDS`` row, an
     interval or a str's choices; a number with no row follows the rule: an
     int is in [1, 2**63), a float at least 0.  The rules that tie keys
-    together follow the walk.  Each error names its key.
+    together follow the walk; the noise layout's are
+    :func:`~dualmargin.noise.check_layout`'s.  Each error names its key.
     """
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -219,22 +220,12 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError("loss.alpha and loss.beta must not both be 0")
     if noise is None:
         return cfg
-    for key, topologies in LAYOUT_TOPOLOGIES.items():
-        if key in noise and noise["topology"] not in topologies:
-            raise ValueError(f"noise.{key} does not apply to topology '{noise['topology']}'")
     if noise["topology"] == "column" and C < 2:
         raise ValueError(f"dataset.class_count must be >= 2 for column noise, got {C}")
-    if noise["topology"] == "asymmetric_pairs" and "pairs" not in noise:
-        raise ValueError("noise.pairs must be set for asymmetric_pairs")
-    sources = [src for src, _ in noise.get("pairs", [])]
-    if len(set(sources)) < len(sources):
-        raise ValueError(f"noise.pairs must not repeat a source, got {noise['pairs']!r}")
-    for key in ("sinks", "pairs"):
-        if key in noise and np.max(noise[key]) >= C:
-            raise ValueError(f"noise.{key} must name classes below dataset.class_count {C}, got {noise[key]!r}")
-    group_size = noise.get("group_size")
-    if noise["topology"] in LAYOUT_TOPOLOGIES["group_size"] and (group_size is None or C % group_size):
-        raise ValueError(f"noise.group_size must be set and divide dataset.class_count {C}, got {group_size!r}")
+    try:
+        check_layout(NoiseSpec(**noise), C)
+    except ValueError as exc:
+        raise ValueError(f"noise.{exc}") from None
     return cfg
 
 

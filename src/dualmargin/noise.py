@@ -18,7 +18,9 @@ topologies are provided:
 
 Corruption resamples each label independently from its T row by inverse
 CDF under a seeded PCG64 stream, so runs are reproducible across
-platforms.  Features are never touched.
+platforms.  A draw past a row's total (rows may sum to 1 - 1e-12) takes
+the row's last nonzero class.  Features are never touched.
+:func:`check_layout` is the one place for the layout rules.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "TOPOLOGIES",
     "LAYOUT_TOPOLOGIES",
     "default_column_sinks",
+    "check_layout",
     "build_transition",
     "corrupt_labels",
 ]
@@ -110,64 +113,62 @@ def default_column_sinks(class_count: int) -> tuple[int, int]:
     return (mid - 1, mid)
 
 
+def check_layout(spec: NoiseSpec, class_count: int) -> None:
+    """Raise ``ValueError`` unless ``spec``'s layout fits ``class_count`` classes; allocates nothing.
+
+    Each message starts with the :class:`NoiseSpec` field it is about.
+    """
+    C, sinks = class_count, spec.sinks
+    if spec.topology == "column" and sinks is not None:
+        if len(sinks) != 2 or sinks[0] == sinks[1] or min(sinks) < 0 or max(sinks) >= C:
+            raise ValueError(f"sinks must be two distinct classes in [0, {C}), got {sinks!r}")
+    elif spec.topology == "asymmetric_pairs":
+        if not spec.pairs:
+            raise ValueError(f"pairs must be a nonempty list of (src, dst) for asymmetric_pairs, got {spec.pairs!r}")
+        for pair in spec.pairs:
+            if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0 or max(pair) >= C:
+                raise ValueError(f"pairs must map a class in [0, {C}) to another, got {spec.pairs!r}")
+        if len({src for src, _ in spec.pairs}) < len(spec.pairs):
+            raise ValueError(f"pairs must not repeat a source, got {spec.pairs!r}")
+    elif spec.topology in LAYOUT_TOPOLOGIES["group_size"]:
+        g = spec.group_size
+        if g is None or g < 2 or C % g:
+            raise ValueError(f"group_size must be set, >= 2 and divide class_count {C}, got {g!r}")
+
+
 def build_transition(spec: NoiseSpec, class_count: int) -> TransitionMatrix:
     """Construct the exact transition matrix for ``spec``."""
     C = int(class_count)
     if C < 1:
         raise ValueError("class_count must be >= 1")
+    check_layout(spec, C)
     eta = spec.eta
     T = np.eye(C, dtype=np.float64)
 
     if spec.topology == "column":
-        s1, s2 = spec.sinks if spec.sinks is not None else default_column_sinks(C)
-        s1, s2 = int(s1), int(s2)
-        if not (0 <= s1 < C and 0 <= s2 < C) or s1 == s2:
-            raise ValueError(f"sinks must be two distinct classes in [0, {C}), got ({s1}, {s2})")
-        for c in range(C):
-            if c in (s1, s2):
-                continue
-            T[c, c] = 1.0 - eta
-            T[c, s1] = eta / 2.0
-            T[c, s2] = eta / 2.0
+        s1, s2 = map(int, spec.sinks if spec.sinks is not None else default_column_sinks(C))
+        rest = np.delete(np.arange(C), [s1, s2])
+        T[rest, rest] = 1.0 - eta
+        T[rest, s1] = eta / 2.0
+        T[rest, s2] = eta / 2.0
         sink_rate = max(0.0, eta - 0.2)
-        T[s1, s1] = 1.0 - sink_rate
-        T[s1, s2] = sink_rate
-        T[s2, s2] = 1.0 - sink_rate
-        T[s2, s1] = sink_rate
+        T[[s1, s2], [s1, s2]] = 1.0 - sink_rate
+        T[[s1, s2], [s2, s1]] = sink_rate
 
     elif spec.topology == "asymmetric_pairs":
-        if not spec.pairs:
-            raise ValueError("asymmetric_pairs requires a nonempty pairs list")
-        seen_sources: set[int] = set()
-        for src, dst in spec.pairs:
-            src, dst = int(src), int(dst)
-            if not (0 <= src < C and 0 <= dst < C):
-                raise ValueError(f"pair ({src}, {dst}) out of range [0, {C})")
-            if src == dst:
-                raise ValueError(f"pair ({src}, {dst}) flips a class onto itself")
-            if src in seen_sources:
-                raise ValueError(f"class {src} appears as a source in more than one pair")
-            seen_sources.add(src)
-            T[src, src] = 1.0 - eta
-            T[src, dst] = eta
+        src, dst = np.array(spec.pairs, dtype=int).T
+        T[src, src] = 1.0 - eta
+        T[src, dst] = eta
 
-    elif spec.topology in LAYOUT_TOPOLOGIES["group_size"]:
-        g = spec.group_size
-        if g is None or int(g) < 2:
-            raise ValueError("superclass topologies need group_size >= 2")
-        g = int(g)
-        if C % g != 0:
-            raise ValueError(f"class_count {C} is not divisible by group_size {g}")
-        for c in range(C):
-            base = (c // g) * g
-            T[c, c] = 1.0 - eta
-            if spec.topology == "cyclic_superclass":
-                nxt = base + (c - base + 1) % g
-                T[c, nxt] += eta
-            else:
-                for other in range(base, base + g):
-                    if other != c:
-                        T[c, other] = eta / (g - 1)
+    else:
+        g = int(spec.group_size)
+        c = np.arange(C)
+        base = c // g * g
+        T[c, c] = 1.0 - eta
+        # cyclic's entry is eta added to the identity's 0.0: an eta of -0.0 gives 0.0
+        cyclic = spec.topology == "cyclic_superclass"
+        for k in range(1, 2 if cyclic else g):
+            T[c, base + (c - base + k) % g] = 0.0 + eta if cyclic else eta / (g - 1)
 
     return TransitionMatrix(probs=T)
 
@@ -193,5 +194,7 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
     for c in np.flatnonzero(np.diff(bounds)):
         group = order[bounds[c] : bounds[c + 1]]
         out[group] = np.searchsorted(np.cumsum(transition.probs[c]), u[group], side="right")
-    np.minimum(out, C - 1, out=out)
+    # a draw past a row's total takes the row's last nonzero class
+    for i in np.flatnonzero(out == C):
+        out[i] = np.flatnonzero(transition.probs[clean[i]])[-1]
     return out

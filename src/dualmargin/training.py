@@ -47,9 +47,8 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ModelParams:
-    """Weights and biases per layer; one layer for linear, two for mlp1."""
+    """Weights (in, out) and biases per layer, input layer first; tanh follows all but the last."""
 
-    architecture: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -105,38 +104,25 @@ class ExperimentReport:
     extras: dict = field(default_factory=dict)
 
 
-def init_model(architecture: str, dim: int, class_count: int, hidden_units: int, rng: np.random.Generator) -> ModelParams:
-    """Symmetric uniform init scaled by fan-in; biases start at zero."""
-
-    def uniform(fan_in: int, shape) -> np.ndarray:
+def init_model(widths, rng: np.random.Generator) -> ModelParams:
+    """Layers from ``widths`` (input dim, hidden widths, class count), drawn in order: uniform by fan-in, zero biases."""
+    weights = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    if architecture == "linear":
-        return ModelParams(
-            architecture="linear",
-            weights=[uniform(dim, (dim, class_count))],
-            biases=[np.zeros(class_count)],
-        )
-    if architecture == "mlp1":
-        return ModelParams(
-            architecture="mlp1",
-            weights=[uniform(dim, (dim, hidden_units)), uniform(hidden_units, (hidden_units, class_count))],
-            biases=[np.zeros(hidden_units), np.zeros(class_count)],
-        )
-    raise ValueError(f"unknown architecture {architecture!r}")
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    return ModelParams(weights=weights, biases=[np.zeros(width) for width in widths[1:]])
 
 
-def _forward(model: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    # the bias is added in place: at evaluation a logits array is (n, C)
-    out = X @ model.weights[0]
-    out += model.biases[0]
-    if model.architecture == "linear":
-        return out, None
-    hidden = np.tanh(out, out=out)
-    logits = hidden @ model.weights[1]
-    logits += model.biases[1]
-    return logits, hidden
+def _forward(model: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The logits, and the input of each layer."""
+    inputs = [X]
+    for i in range(len(model.weights)):
+        if i:
+            inputs.append(np.tanh(out, out=out))
+        # the bias is added in place: at evaluation a logits array is (n, C)
+        out = inputs[i] @ model.weights[i]
+        out += model.biases[i]
+    return out, inputs
 
 
 def predict_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -165,15 +151,16 @@ def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     return loss, grad
 
 
-def _backward(model: ModelParams, X: np.ndarray, hidden: np.ndarray | None, grad_logits: np.ndarray):
-    """Gradients per layer, matching the (weights, biases) layout."""
-    if model.architecture == "linear":
-        return [X.T @ grad_logits], [grad_logits.sum(axis=0)]
-    d_w2 = hidden.T @ grad_logits
-    d_b2 = grad_logits.sum(axis=0)
-    d_hidden = grad_logits @ model.weights[1].T
-    d_pre = d_hidden * (1.0 - hidden**2)
-    return [X.T @ d_pre, d_w2], [d_pre.sum(axis=0), d_b2]
+def _backward(model: ModelParams, inputs: list[np.ndarray], grad: np.ndarray) -> list[np.ndarray]:
+    """Gradients in the order of ``model.weights + model.biases``, from the logits' ``grad``."""
+    L = len(model.weights)
+    grads = [None] * (2 * L)
+    for i in reversed(range(L)):
+        grads[i] = inputs[i].T @ grad
+        grads[L + i] = grad.sum(axis=0)
+        if i:
+            grad = (grad @ model.weights[i].T) * (1.0 - inputs[i] ** 2)
+    return grads
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -217,7 +204,8 @@ def train(
     loss = "cross_entropy" if params is None else "dual_margin"
 
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(cfg.architecture, X.shape[1], C, cfg.hidden_units, rng)
+    hidden = [cfg.hidden_units] if cfg.architecture == "mlp1" else []
+    model = init_model([X.shape[1], *hidden, C], rng)
     layers = model.weights + model.biases  # each array is updated in place
     velocity = [np.zeros_like(p) for p in layers]
 
@@ -231,7 +219,7 @@ def train(
             for lo in range(0, n, cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
                 Xb, yb = X[sel], y[sel]
-                logits, hidden = _forward(model, Xb)
+                logits, inputs = _forward(model, Xb)
                 if not np.isfinite(logits).all():
                     raise TrainingDivergedError(
                         f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
@@ -246,8 +234,9 @@ def train(
                         f"(lr={lr:g}, loss={loss})"
                     )
                 loss_sum += loss_value * len(sel)
-                grads_w, grads_b = _backward(model, Xb, hidden, grad_logits)
-                for i, g in enumerate(grads_w + grads_b):
+                # kept until the next step's list replaces it: freeing it sooner raised peak RSS
+                grads = _backward(model, inputs, grad_logits)
+                for i, g in enumerate(grads):
                     velocity[i] = cfg.momentum * velocity[i] + g
                     layers[i] -= lr * velocity[i]
             curve.append(loss_sum / n)

@@ -398,6 +398,12 @@ class TestExperimentCommands:
                 "noise.sinks does not apply to topology 'asymmetric_pairs'",
             ),
             ("noise-recovery", {"noise": {"group_size": 5}}, "noise.group_size does not apply to topology 'column'"),
+            # a layout that does not fit the class count
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs"}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": [[1, 2], [1, 3]]}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"sinks": [3, 10]}}, "noise.sinks must be two distinct classes in [0, 10), got [3, 10]"),
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": [[0, 12]]}}, "noise.pairs"),
+            ("noise-recovery", {"noise": {"topology": "cyclic_superclass"}}, "noise.group_size"),
             (
                 "noise-recovery",
                 {"noise": {"topology": "cyclic_superclass", "group_size": 2, "pairs": [[0, 1]]}},

@@ -35,10 +35,12 @@ class TestColumn:
         assert default_column_sinks(6) == (2, 3)
 
     def test_sinks_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sinks "):
             build_transition(NoiseSpec("column", 0.6, sinks=(3, 11)), 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sinks "):
             build_transition(NoiseSpec("column", 0.6, sinks=(4, 4)), 10)
+        with pytest.raises(ValueError, match="^sinks "):
+            build_transition(NoiseSpec("column", 0.6, sinks=(1, 2, 3)), 10)
 
 
 class TestAsymmetricPairs:
@@ -53,12 +55,17 @@ class TestAsymmetricPairs:
             assert T[c, c] == 1.0
 
     def test_duplicate_source_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pairs "):
             build_transition(NoiseSpec("asymmetric_pairs", 0.45, pairs=[(1, 2), (1, 3)]), 5)
 
     def test_self_flip_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pairs "):
             build_transition(NoiseSpec("asymmetric_pairs", 0.45, pairs=[(2, 2)]), 5)
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 5)], [(-1, 2)], [(0, 1, 2)]])
+    def test_pairs_outside_the_classes_rejected(self, pairs):
+        with pytest.raises(ValueError, match="^pairs "):
+            build_transition(NoiseSpec("asymmetric_pairs", 0.45, pairs=pairs), 5)
 
 
 class TestSuperclass:
@@ -82,11 +89,11 @@ class TestSuperclass:
         assert T[7, base + 5] == 0.0
 
     def test_indivisible_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group_size "):
             build_transition(NoiseSpec("block_superclass", 0.6, group_size=3), 10)
 
     def test_group_size_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group_size "):
             build_transition(NoiseSpec("cyclic_superclass", 0.45), 10)
 
 
@@ -115,6 +122,66 @@ class TestRowStochastic:
             NoiseSpec("column", 1.5)
         with pytest.raises(ValueError):
             NoiseSpec("funnel", 0.5)
+
+
+def per_row_transition(spec, C):
+    """T built one row at a time, as the entries are defined."""
+    eta = spec.eta
+    T = np.eye(C)
+    if spec.topology == "column":
+        s1, s2 = spec.sinks if spec.sinks is not None else default_column_sinks(C)
+        for c in range(C):
+            if c in (s1, s2):
+                continue
+            T[c, c] = 1.0 - eta
+            T[c, s1] = eta / 2.0
+            T[c, s2] = eta / 2.0
+        sink_rate = max(0.0, eta - 0.2)
+        T[s1, s1] = 1.0 - sink_rate
+        T[s1, s2] = sink_rate
+        T[s2, s2] = 1.0 - sink_rate
+        T[s2, s1] = sink_rate
+    elif spec.topology == "asymmetric_pairs":
+        for src, dst in spec.pairs:
+            T[src, src] = 1.0 - eta
+            T[src, dst] = eta
+    else:
+        g = spec.group_size
+        for c in range(C):
+            base = (c // g) * g
+            T[c, c] = 1.0 - eta
+            if spec.topology == "cyclic_superclass":
+                T[c, base + (c - base + 1) % g] += eta
+            else:
+                for other in range(base, base + g):
+                    if other != c:
+                        T[c, other] = eta / (g - 1)
+    return T
+
+
+def layouts(C):
+    """Every topology at class count C, with reversed sinks and chained pairs."""
+    yield "column", {}
+    yield "column", {"sinks": (C - 1, 0)}
+    yield "asymmetric_pairs", {"pairs": [(C - 1, 0)]}
+    yield "asymmetric_pairs", {"pairs": [(c, c + 1) for c in range(C - 1)]}  # each dst is the next src
+    yield "asymmetric_pairs", {"pairs": [(c, c - 1) for c in range(C - 1, 0, -2)]}
+    # one group of all classes up to C = 100: the oracle's block rows cost g**2 steps per group
+    for g in sorted(g for g in {2, 3, 4, 5, 6, 10, min(C, 100)} if g <= C and C % g == 0):
+        yield "cyclic_superclass", {"group_size": g}
+        yield "block_superclass", {"group_size": g}
+
+
+class TestPerRowOracle:
+    @pytest.mark.parametrize("C", [*range(2, 13), 100, 1000])
+    def test_every_entry_has_the_oracle_bits(self, C):
+        specs = 0
+        for topology, layout in layouts(C):
+            for eta in (0.0, -0.0, 0.1, 0.2, 0.6, 1.0):
+                spec = NoiseSpec(topology, eta, **layout)
+                assert build_transition(spec, C).probs.tobytes() == per_row_transition(spec, C).tobytes(), spec
+                specs += 1
+        assert specs >= 5 * 6
 
 
 class TestLayoutKeys:
@@ -231,11 +298,13 @@ class TestCorruption:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
         out = corrupt_labels(labels, t, seed=0)
         cdf = np.cumsum(probs, axis=1)  # the dense (C, C) form
-        expected = np.minimum([np.searchsorted(cdf[c], ui, side="right") for c, ui in zip(labels, u)], C - 1)
+        drawn = [np.searchsorted(cdf[c], ui, side="right") for c, ui in zip(labels, u)]
+        # a draw past the row's end takes its last class of nonzero probability
+        expected = [d if d < C else np.flatnonzero(probs[c])[-1] for c, d in zip(labels, drawn)]
         np.testing.assert_array_equal(out, expected)
         past_end = (labels == short) & (u >= cdf[short, -1])
         assert past_end.sum() >= 2  # the clamp is reached
-        assert np.all(out[past_end] == C - 1)
+        assert np.all(probs[short, out[past_end]] > 0)
 
     def test_out_of_range_labels_rejected(self):
         t = build_transition(NoiseSpec("column", 0.6), 10)

@@ -144,31 +144,30 @@ class TestBackprop:
         y = rng.integers(0, 4, size=7)
         q = rng.random((4, 4)) < 0.5
         params = LossParams(0.6, 3.0)
-        model = init_model(architecture, 3, 4, 5, rng)
+        model = init_model([3, 4] if architecture == "linear" else [3, 5, 4], rng)
 
         def total_loss(m):
             logits, _ = _forward(m, X)
             return batch_loss(logits, y, q, params)
 
-        logits, hidden = _forward(model, X)
+        logits, inputs = _forward(model, X)
         from dualmargin.loss import batch_loss_and_grad
 
         _, g_logits = batch_loss_and_grad(logits, y, q, params)
-        grads_w, grads_b = _backward(model, X, hidden, g_logits)
+        grads = _backward(model, inputs, g_logits)
 
         h = 1e-6
-        for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-            for arr, grad in zip(arrays, grads):
-                flat = arr.ravel()
-                for k in range(flat.size):
-                    orig = flat[k]
-                    flat[k] = orig + h
-                    up = total_loss(model)
-                    flat[k] = orig - h
-                    down = total_loss(model)
-                    flat[k] = orig
-                    fd = (up - down) / (2 * h)
-                    assert abs(fd - grad.ravel()[k]) < 1e-6 * max(1.0, abs(fd))
+        for arr, grad in zip(model.weights + model.biases, grads):
+            flat = arr.ravel()
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + h
+                up = total_loss(model)
+                flat[k] = orig - h
+                down = total_loss(model)
+                flat[k] = orig
+                fd = (up - down) / (2 * h)
+                assert abs(fd - grad.ravel()[k]) < 1e-6 * max(1.0, abs(fd))
 
 
 class TestQLayout:
@@ -221,7 +220,6 @@ class TestEvaluate:
     def test_uniform_logits_tie_break_to_lowest_index(self):
         data, _ = separable_mixture()
         model = ModelParams(
-            architecture="linear",
             weights=[np.zeros((data.features.shape[1], data.class_count))],
             biases=[np.zeros(data.class_count)],
         )
@@ -244,7 +242,7 @@ class TestEvaluate:
     def where_formula(model, data, q):
         """Accuracy, confusion and masses as computed with np.where temporaries."""
         X = data.features
-        if model.architecture == "linear":
+        if len(model.weights) == 1:
             logits = X @ model.weights[0] + model.biases[0]
         else:
             hidden = np.tanh(X @ model.weights[0] + model.biases[0])
@@ -271,7 +269,8 @@ class TestEvaluate:
         if kind == "trained":
             model, _ = train(data, None, TrainConfig(learning_rate=0.1, epochs=3, batch_size=64, seed=2))
         else:
-            model = init_model(kind if kind == "mlp1" else "linear", data.features.shape[1], 4, 8, np.random.default_rng(3))
+            hidden = [8] if kind == "mlp1" else []
+            model = init_model([data.features.shape[1], *hidden, 4], np.random.default_rng(3))
         if kind == "overflowing":  # finite weights, logits of +-inf: the run diverged, unscored
             model.weights[0] = np.sign(model.weights[0]) * 1e308
             with pytest.raises(TrainingDivergedError, match="non-finite logits at evaluation"):
@@ -291,7 +290,6 @@ class TestEvaluate:
         sum, so no BLAS kernel choice or summation order can change it."""
         rng = np.random.default_rng(seed)
         model = ModelParams(
-            architecture="linear",
             weights=[rng.integers(-8, 9, size=(d, C)) / 8.0],
             biases=[rng.integers(-8, 9, size=C) / 16.0],
         )
@@ -334,7 +332,7 @@ class TestEvaluate:
     def test_logits_spanning_more_than_the_float_range_score_without_warning(self):
         # the softmax's shift overflows to -inf, whose exp is 0; a warning fails the test
         data = LabeledDataset(features=np.ones((2, 1)), clean_labels=np.array([0, 1]), class_count=2)
-        model = ModelParams(architecture="linear", weights=[np.array([[1e308, -1e308]])], biases=[np.zeros(2)])
+        model = ModelParams(weights=[np.array([[1e308, -1e308]])], biases=[np.zeros(2)])
         report = evaluate(model, data, q=np.eye(2, dtype=bool))
         assert report.clean_test_accuracy == 0.5
         assert report.mean_mass == {"p_target": 0.5, "p_plausible": 0.5, "p_implausible": 0.5}
@@ -344,7 +342,7 @@ class TestEvaluate:
         n, C, d = 20000, 1000, 16
         rng = np.random.default_rng(0)
         data = LabeledDataset(features=rng.normal(size=(n, d)), clean_labels=rng.integers(0, C, size=n), class_count=C)
-        model = init_model("linear", d, C, 8, rng)
+        model = init_model([d, C], rng)
         q = same_group(np.arange(C) // 10)
         tracemalloc.start()
         try:
