@@ -1,7 +1,7 @@
 """Command-line entry point for the experiment suite.
 
-Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``sweep``,
-``mil-toy``.  Experiment commands read an optional JSON config
+Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``mil-toy``,
+``sweep``.  Experiment commands read an optional JSON config
 (``--config``) layered over per-experiment defaults, with ``--seed`` and
 ``--out`` as flag-level overrides; ``toy2d``, ``noise-recovery`` and
 ``mil-toy`` also take ``--alpha`` and ``--beta`` for their ``loss``
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .experiments import default_config, load_config, merge_config, run_experiment
+from .experiments import EXPERIMENTS, default_config, load_config, merge_config, run_experiment
 from .loss import LossParams, loss_from_logits
 from .plausibility import load_q_text
 from .training import TrainingDivergedError
@@ -41,12 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     le.add_argument("--alpha", type=float, default=1.0)
     le.add_argument("--beta", type=float, default=0.0)
 
-    for name in ("toy2d", "noise-recovery", "sweep", "mil-toy"):
+    for experiment in EXPERIMENTS:
+        name = experiment.replace("_", "-")
         p = sub.add_parser(name, help=f"run the {name} experiment family")
         p.add_argument("--config", help="JSON config file layered over defaults")
         p.add_argument("--seed", type=int, help="replace the seed list with this single seed")
         p.add_argument("--out", help="output directory")
-        if name != "sweep":
+        if "loss" in default_config(experiment):
             p.add_argument("--alpha", type=float, help="dual-margin alpha override")
             p.add_argument("--beta", type=float, help="dual-margin beta override")
     return parser
@@ -79,11 +80,11 @@ def _cmd_loss_eval(args) -> int:
 def _cmd_experiment(command: str, args) -> int:
     experiment = command.replace("-", "_")
     cfg = default_config(experiment)
-    if args.config:
+    if args.config is not None:
         cfg = merge_config(cfg, load_config(args.config))
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    if args.out:
+    if args.out is not None:
         cfg["output_dir"] = args.out
     for key in ("alpha", "beta"):
         # a loss section that is no object is left for run_experiment to reject

@@ -6,12 +6,13 @@ seeds, so rerunning a command reproduces the metric files byte for byte.
 Wall-clock timings are therefore reported on stdout only, never in the
 artifacts.  All files are written atomically (temp file + rename): a
 write that fails or is interrupted leaves no temp file and no partial
-file.  A report payload holds each run's confusion matrix as a 2-D
-integer array, not as lists of Python ints.  The JSON writer takes the
-text around those arrays from one ``json.dumps`` call and streams only
-the arrays' text to disk, row by row, so the text of a C x C report is
-never held in memory; a value it cannot write raises before any byte is
-written.
+file.  A run's ``report.json`` entry is the ``vars`` of its
+:class:`~dualmargin.training.ExperimentReport`, so it holds the
+confusion matrix as a 2-D integer array, not as lists of Python ints.
+The JSON writer takes the text around those arrays from one
+``json.dumps`` call and streams only the arrays' text to disk, row by
+row, so the text of a C x C report is never held in memory; a value it
+cannot write raises before any byte is written.
 
 Per output directory the runners emit:
 
@@ -23,10 +24,10 @@ Per output directory the runners emit:
 All four families train through one driver, :func:`_run_methods`: each
 method per seed, a diverged run recorded in ``failures`` while the others
 go on.  The ``report.json`` of every family but ``sweep`` holds ``runs``
-(``{method: {seed: metrics}}``), ``failures`` and ``summary`` (``{method:
-{column: {mean, std}}}`` over the metrics.csv score columns the family
-fills, leaving out a method with no completed run).  The config hash
-leaves out ``output_dir``.
+(``{method: {seed: report}}``), ``failures`` and ``summary`` (``{method:
+{column: {mean, std}}}`` over the accuracy and the metrics.csv columns the
+family names, leaving out a method with no completed run).  The config
+hash leaves out ``output_dir``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .training import (
     SCHEDULES,
     TrainConfig,
     TrainingDivergedError,
-    diagonal_mass,
     evaluate,  # noqa: F401 -- perfbench/child.py traces experiments.evaluate
     predict_logits,
     train,
@@ -420,18 +420,6 @@ def _write_json(path, payload) -> None:
     atomic_write_text(path, chunks())
 
 
-def _report_payload(report) -> dict:
-    """JSON-ready view of a report."""
-    return {
-        "train_curve": [float(v) for v in report.train_curve],
-        "clean_test_accuracy": report.clean_test_accuracy,
-        "confusion_matrix": report.confusion_matrix,
-        "diagonal_mass": diagonal_mass(report.confusion_matrix),
-        "mean_mass": report.mean_mass,
-        "extras": report.extras,
-    }
-
-
 def _mean_std(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     return {
@@ -444,12 +432,8 @@ def _mean_std(values: list[float]) -> dict:
 # experiment families
 # ---------------------------------------------------------------------------
 
-# metrics.csv columns that hold per-run scores; the summary aggregates the
-# ones a family fills
-_SCORE_COLUMNS = METRIC_COLUMNS[METRIC_COLUMNS.index("accuracy"):]
 
-
-def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
+def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
     """Train each method per seed; ``methods`` maps a name to ``(weights, q)``.
 
     ``weights`` is the dual-margin ``(alpha, beta)``, or None for CE: a
@@ -457,10 +441,13 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
     ``LossParams(*weights)`` or None.  A name is a string, or a sweep
     cell's ``(alpha, beta)``, whose failures hold ``alpha`` and ``beta``
     instead.  Weights LossParams rejects (alpha = beta = 0) and diverged
-    runs are failures.  ``fit(data, q, tc)`` returns ``(model, report)``
-    and ``row_metrics(report)`` the extra metrics.csv columns.  Returns the
-    rows, the report (runs, summary, failures) and the first seed's model
-    per completed method.
+    runs are failures.  ``fit(data, q, tc)`` returns ``(model, report)``.
+    ``columns`` names the metrics.csv columns a row fills past the accuracy,
+    read from the report's ``diagonal_mass``, ``mean_mass`` and ``extras``;
+    the summary is taken over the accuracy and these.  Returns the rows, the
+    report (runs, summary, failures) and the first seed's model per
+    completed method.  ``columns=None`` (the sweep) keeps no run's report
+    and no model: its rows hold only the accuracy.
     """
     experiment = cfg["experiment"]
     rows: list[dict] = []
@@ -487,19 +474,15 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
                 f"[{experiment}] seed={seed} method={method} "
                 f"acc={report.clean_test_accuracy:.4f} wall={time.perf_counter() - start:.2f}s"
             )
-            runs[method][str(seed)] = _report_payload(report)
             alpha, beta = weights or (1.0, 0.0)
-            rows.append(
-                {
-                    "experiment": experiment,
-                    "seed": seed,
-                    "method": method,
-                    "alpha": alpha,
-                    "beta": beta,
-                    "accuracy": report.clean_test_accuracy,
-                    **row_metrics(report),
-                }
-            )
+            row = {"experiment": experiment, "seed": seed, "method": method, "alpha": alpha, "beta": beta}
+            row["accuracy"] = report.clean_test_accuracy
+            rows.append(row)
+            if columns is None:
+                continue
+            scores = {"diagonal_mass": report.diagonal_mass, **(report.mean_mass or {}), **report.extras}
+            row.update((col, scores[col]) for col in columns)
+            runs[method][str(seed)] = vars(report)
             if seed == cfg["seeds"][0]:
                 first_models[method] = model
 
@@ -507,7 +490,7 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, row_metrics):
     for method in methods:
         done = [row for row in rows if row["method"] == method]
         if done:
-            summary[method] = {col: _mean_std([row[col] for row in done]) for col in _SCORE_COLUMNS if col in done[0]}
+            summary[method] = {col: _mean_std([row[col] for row in done]) for col in ("accuracy", *(columns or ()))}
     result = {"experiment": experiment, "runs": runs, "summary": summary, "failures": failures}
     return rows, result, first_models
 
@@ -562,10 +545,7 @@ def run_toy2d(cfg: dict) -> dict:
         )
 
     q = q_ordinal(C, cfg["window"], boundary="wrap")
-    rows, result, first_models = _run_methods(
-        cfg, _ce_and_dm(cfg, q), ring_split, _fit_train,
-        lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix)},
-    )
+    rows, result, first_models = _run_methods(cfg, _ce_and_dm(cfg, q), ring_split, _fit_train, ("diagonal_mass",))
     out_dir = Path(cfg["output_dir"])
     resolution = cfg["grid_resolution"]
     for method, model in first_models.items():
@@ -589,7 +569,7 @@ def run_noise_recovery(cfg: dict) -> dict:
     q = q_from_transition(_transition(cfg))
     rows, result, _ = _run_methods(
         cfg, _ce_and_dm(cfg, q, ce_q=q), lambda seed: _noisy_mixture_split(cfg, seed), _fit_train,
-        lambda report: {"diagonal_mass": diagonal_mass(report.confusion_matrix), **report.mean_mass},
+        ("diagonal_mass", "p_target", "p_plausible", "p_implausible"),
     )
     result["noise"] = cfg["noise"]
     _persist(Path(cfg["output_dir"]), cfg, rows, result)
@@ -608,7 +588,7 @@ def run_sweep(cfg: dict) -> dict:
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
     methods = {"ce": (None, None)}
     methods.update({(a, b): ((a, b), q) for a in alphas for b in betas})
-    _, report, _ = _run_methods(cfg, methods, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train, lambda _: {})
+    _, report, _ = _run_methods(cfg, methods, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train, None)
     mean = {method: scores["accuracy"]["mean"] for method, scores in report["summary"].items()}
     grid = [[mean.get((a, b)) for b in betas] for a in alphas]
     common = {"experiment": "sweep", "seed": cfg["seeds"][0] if len(cfg["seeds"]) == 1 else -1}
@@ -647,7 +627,7 @@ def run_mil_toy(cfg: dict) -> dict:
 
     rows, result, _ = _run_methods(
         cfg, _ce_and_dm(cfg, q_mil()), bags_for_seed, lambda bags, q, tc: (None, train_mil_instances(bags, tc, q=q)),
-        lambda report: {"recall_negative_in_positive_bags": report.extras["recall_negative_in_positive_bags"]},
+        ("recall_negative_in_positive_bags",),
     )
     _persist(Path(cfg["output_dir"]), cfg, rows, result)
     return result

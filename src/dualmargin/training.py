@@ -91,15 +91,18 @@ class TrainConfig:
 class ExperimentReport:
     """Metrics of one run: curve, accuracy, confusion, probability masses.
 
-    ``confusion_matrix`` is an int32 (C, C) array of counts.
-    ``mean_mass`` holds the average probability allocated to the exact
-    label, its plausible set, and the complement (only when a
-    plausibility matrix was supplied at evaluation time).
+    The record a run's ``report.json`` entry is written from, as its
+    ``vars``.  ``confusion_matrix`` is an int32 (C, C) array of counts and
+    ``diagonal_mass`` its :func:`diagonal_mass`.  ``mean_mass`` holds the
+    average probability allocated to the exact label, its plausible set,
+    and the complement (only when a plausibility matrix was supplied at
+    evaluation time).
     """
 
     train_curve: list[float]
     clean_test_accuracy: float
     confusion_matrix: np.ndarray
+    diagonal_mass: float
     mean_mass: dict[str, float] | None = None
     extras: dict = field(default_factory=dict)
 
@@ -253,11 +256,12 @@ _EVAL_BLOCK_BYTES = 2 << 20
 
 
 def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> ExperimentReport:
-    """Accuracy, confusion matrix, and probability-mass diagnostics.
+    """Accuracy, confusion matrix, its diagonal mass, and probability-mass diagnostics.
 
     Predictions are argmax over logits with ties broken toward the lowest
     class index.  The confusion matrix holds int32 counts indexed (true
-    class, predicted class) against the clean labels.  When ``q`` is
+    class, predicted class) against the clean labels, and the report's
+    ``diagonal_mass`` is :func:`diagonal_mass` of it.  When ``q`` is
     given, the mean masses of the exact label, its plausible set, and the
     complement are computed w.r.t. the clean labels.  A non-finite logit,
     which finite but huge weights can give, raises
@@ -316,6 +320,7 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
         train_curve=[],
         clean_test_accuracy=accuracy,
         confusion_matrix=confusion,
+        diagonal_mass=diagonal_mass(confusion),
         mean_mass=mean_mass,
     )
 

@@ -197,6 +197,9 @@ class TestExperimentCommands:
         assert len(metrics) == 3  # header + ce + dual_margin
         report = json.loads((out_dir / "report.json").read_text())
         assert report["runs"]["dual_margin"]["0"]["mean_mass"]["p_plausible"] > 0
+        keys = {"train_curve", "clean_test_accuracy", "confusion_matrix", "diagonal_mass", "mean_mass", "extras"}
+        for by_seed in report["runs"].values():
+            assert all(set(record) == keys for record in by_seed.values())
 
     def test_sweep_tiny_run_writes_heatmap(self, tmp_path, capsys):
         cfg = write_config(
@@ -279,6 +282,18 @@ class TestExperimentCommands:
         code, _, err = run_cli(["toy2d", "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 2
         assert "seeds" in err
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--out", "output_dir must be set"), ("--config", "cannot read config : ")],
+    )
+    def test_empty_out_or_config_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch, flag, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["toy2d", flag, ""], capsys)
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out_toy2d").exists()
+        assert list(tmp_path.iterdir()) == []  # no output directory of any name
 
     def test_unparseable_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -758,6 +773,31 @@ def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(report["runs"]["dual_margin"]["0"]["confusion_matrix"]) == 1000
+    assert peak <= 20 << 20
+
+
+def test_wide_sweep_keeps_no_run_it_never_writes(tmp_path, capsys):
+    """The sweep writes only mean accuracies, so it keeps no run's report:
+    at C = 1000 each would hold a 4 MB confusion matrix until the end."""
+    cfg = experiments.merge_config(
+        experiments.default_config("sweep"),
+        {
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+            "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2},
+            "train": {"epochs": 1},
+            "sweep": {"alpha_values": [0.1, 1.0, 10.0], "beta_values": [0.0, 1.0]},
+        },
+    )
+    tracemalloc.start()
+    try:
+        result = experiments.run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert result["failures"] == []
+    assert all(value is not None for row in result["accuracy_grid"] for value in row)
     assert peak <= 20 << 20
 
 

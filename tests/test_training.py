@@ -208,6 +208,13 @@ class TestEvaluate:
         assert report.confusion_matrix.dtype == np.int32
         np.testing.assert_array_equal(report.confusion_matrix.sum(axis=1), counts)
 
+    def test_report_holds_the_diagonal_mass_of_its_confusion(self):
+        data, test = separable_mixture()
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=5)
+        model, _ = train(data, None, cfg)
+        report = evaluate(model, test)
+        assert report.diagonal_mass == diagonal_mass(report.confusion_matrix)
+
     def test_near_perfect_model_has_diagonal_confusion(self):
         ring = make_ring(8, 100, angular_noise_std=0.0, seed=0)
         cfg = TrainConfig(learning_rate=0.5, epochs=60, batch_size=64, seed=0)
