@@ -34,6 +34,7 @@ from .datasets import (
     make_ring,
 )
 from .training import (
+    ConfusionCounts,
     ExperimentReport,
     ModelParams,
     TrainConfig,
@@ -66,6 +67,7 @@ __all__ = [
     "make_gaussian_mixture",
     "make_mil_bags",
     "make_ring",
+    "ConfusionCounts",
     "ExperimentReport",
     "ModelParams",
     "TrainConfig",

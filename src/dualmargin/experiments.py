@@ -8,11 +8,13 @@ artifacts.  All files are written atomically (temp file + rename): a
 write that fails or is interrupted leaves no temp file and no partial
 file.  A run's ``report.json`` entry is the ``vars`` of its
 :class:`~dualmargin.training.ExperimentReport`, so it holds the
-confusion matrix as a 2-D integer array, not as lists of Python ints.
-The JSON writer takes the text around those arrays from one
-``json.dumps`` call and streams only the arrays' text to disk, row by
-row, so the text of a C x C report is never held in memory; a value it
-cannot write raises before any byte is written.
+confusion matrix as the nonzero cells of
+:class:`~dualmargin.training.ConfusionCounts`, not as a dense (C, C)
+array or lists of Python ints.  The JSON writer takes the text around
+those counts from one ``json.dumps`` call and streams the dense rows'
+text to disk, one row at a time, so neither the dense matrix nor the
+text of a C x C report is ever held in memory; a value it cannot write
+raises before any byte is written.
 
 Per output directory the runners emit:
 
@@ -54,6 +56,7 @@ from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
     ARCHITECTURES,
     SCHEDULES,
+    ConfusionCounts,
     TrainConfig,
     TrainingDivergedError,
     evaluate,  # noqa: F401 -- perfbench/child.py traces experiments.evaluate
@@ -362,59 +365,64 @@ class _IntTexts(dict):
         return text
 
 
-def _int_matrix_chunks(matrix: np.ndarray, pad: str):
-    """Yield the JSON text of ``matrix.tolist()`` for a 2-D integer array, one row at a time.
+def _count_matrix_chunks(confusion: ConfusionCounts, pad: str):
+    """Yield the JSON text of the dense (C, C) count matrix's ``tolist()``, one row at a time.
 
-    Elements are looked up in a table of their text, comma, line break
-    and indent included, with one entry per distinct value; a count matrix
-    holds few distinct values, so few ints are formatted.
+    Each dense row is filled from its cells in one length-C buffer, and
+    its elements are looked up in a table of their text, comma, line
+    break and indent included, with one entry per distinct value; a count
+    matrix holds few distinct values, so few ints are formatted.
     """
-    if not matrix.shape[0]:
-        yield "[]"
-        return
+    C, cells, counts = confusion.class_count, confusion.cells, confusion.counts
     inner = pad + "  "
     table = _IntTexts("," + inner + "  ")
-    for i, row in enumerate(matrix):
-        text = "".join(map(table.__getitem__, row.tolist()))
+    bounds = np.searchsorted(cells, np.arange(0, C * C + 1, C))
+    row = np.zeros(C, dtype=np.int64)
+    for i in range(C):
+        lo, hi = bounds[i], bounds[i + 1]
+        columns = cells[lo:hi] - i * C
+        row[columns] = counts[lo:hi]
         # text[1:] drops the first element's comma
-        yield ("," if i else "[") + inner + ("[" + text[1:] + inner + "]" if text else "[]")
+        text = "".join(map(table.__getitem__, row.tolist()))[1:]
+        row[columns] = 0
+        yield ("," if i else "[") + inner + "[" + text + inner + "]"
     yield pad + "]"
 
 
-# stands in for each integer array in the json.dumps text of a payload
+# stands in for each confusion matrix in the json.dumps text of a payload
 _MARK = "\0int matrix\0"
 
 
 def _write_json(path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
-    A payload may also hold 2-D integer arrays, such as confusion
-    matrices: each is written as its ``tolist()``, that is, as
-    ``json.dumps(..., default=np.ndarray.tolist)`` writes it, without the
-    C x C list of Python ints being built.  The text around the arrays
-    comes from one ``json.dumps`` call with a marker string in each
-    array's place; only the arrays' text is streamed to the file.  Any
-    other value json cannot write raises TypeError, and a payload string
-    that holds the marker raises ValueError, both before a byte is
-    written: ``path`` then keeps what it held before.
+    A payload may also hold :class:`~dualmargin.training.ConfusionCounts`:
+    each is written as the ``tolist()`` of its dense (C, C) count matrix,
+    without that matrix or its C x C list of Python ints being built.  The
+    text around the counts comes from one ``json.dumps`` call with a
+    marker string in the place of each; only the dense rows' text is
+    streamed to the file.  Any other value json cannot write raises
+    TypeError, and a payload string that holds the marker raises
+    ValueError, both before a byte is written: ``path`` then keeps what it
+    held before.
     """
-    arrays = []
+    confusions = []
 
     def mark(value):
-        if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
-            arrays.append(value)
+        if isinstance(value, ConfusionCounts):
+            confusions.append(value)
             return _MARK
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
     pieces = json.dumps(payload, indent=2, sort_keys=True, default=mark).split(json.dumps(_MARK))
-    if len(pieces) != len(arrays) + 1:
-        raise ValueError("a string in the payload holds the integer array marker")
+    if len(pieces) != len(confusions) + 1:
+        raise ValueError("a string in the payload holds the confusion matrix marker")
 
     def chunks():
-        for piece, matrix in zip(pieces, arrays):
+        for piece, confusion in zip(pieces, confusions):
             yield piece
             line = piece[piece.rfind("\n") + 1:]
-            yield from _int_matrix_chunks(matrix, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+            yield from _count_matrix_chunks(confusion, "\n" + " " * (len(line) - len(line.lstrip(" "))))
         yield pieces[-1] + "\n"
 
     atomic_write_text(path, chunks())
@@ -508,17 +516,20 @@ def _fit_train(split, q, tc: TrainConfig):
 
 
 def _transition(cfg: dict):
-    """The noise spec's transition matrix.
+    """The noise spec's transition matrix, built once per run: Q is its
+    support, and every seed's split corrupts its labels with it.
 
-    A dense (C, C) float array (8 MB at C = 1000), so callers build it
-    where they need it and drop it at once: Q is its support, and each
-    split corrupts its labels with a fresh one.
+    Q is the run's one dense (C, C) array, so room for it is asked first:
+    a class count too large for memory fails here at once, before T's
+    O(C) arrays are written.
     """
-    return build_transition(NoiseSpec(**cfg["noise"]), cfg["dataset"]["class_count"])
+    C = cfg["dataset"]["class_count"]
+    np.empty((C, C), dtype=bool)
+    return build_transition(NoiseSpec(**cfg["noise"]), C)
 
 
-def _noisy_mixture_split(cfg: dict, seed: int):
-    """A (noisy train, clean test) split of one fixed mixture per seed."""
+def _noisy_mixture_split(cfg: dict, transition, seed: int):
+    """A (noisy train, clean test) split of one fixed mixture per seed, its labels corrupted by ``transition``."""
     ds = cfg["dataset"]
     # the test split shares the class means
     train_ds = make_gaussian_mixture(
@@ -529,7 +540,7 @@ def _noisy_mixture_split(cfg: dict, seed: int):
         ds["class_count"], ds["dim"], ds["n_test_per_class"], ds["class_separation"],
         seed=seed + _TEST_SEED_OFFSET, means_seed=seed,
     )
-    noisy = corrupt_labels(train_ds.clean_labels, _transition(cfg), seed)
+    noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
     return replace(train_ds, noisy_labels=noisy), test_ds
 
 
@@ -566,9 +577,10 @@ def _boundary_grid_text(model, resolution: int) -> str:
 
 def run_noise_recovery(cfg: dict) -> dict:
     """Corrupt a mixture per the noise spec, then compare CE vs dual-margin."""
-    q = q_from_transition(_transition(cfg))
+    transition = _transition(cfg)
+    q = q_from_transition(transition)
     rows, result, _ = _run_methods(
-        cfg, _ce_and_dm(cfg, q, ce_q=q), lambda seed: _noisy_mixture_split(cfg, seed), _fit_train,
+        cfg, _ce_and_dm(cfg, q, ce_q=q), lambda seed: _noisy_mixture_split(cfg, transition, seed), _fit_train,
         ("diagonal_mass", "p_target", "p_plausible", "p_implausible"),
     )
     result["noise"] = cfg["noise"]
@@ -583,12 +595,15 @@ def run_sweep(cfg: dict) -> dict:
     baseline's accuracy averaged over the seeds that completed; one with
     none gets no row, ``nan`` in the heatmap and ``null`` in the report.
     """
-    q = q_from_transition(_transition(cfg))
+    transition = _transition(cfg)
+    q = q_from_transition(transition)
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
     methods = {"ce": (None, None)}
     methods.update({(a, b): ((a, b), q) for a in alphas for b in betas})
-    _, report, _ = _run_methods(cfg, methods, lambda seed: _noisy_mixture_split(cfg, seed), _fit_train, None)
+    _, report, _ = _run_methods(
+        cfg, methods, lambda seed: _noisy_mixture_split(cfg, transition, seed), _fit_train, None
+    )
     mean = {method: scores["accuracy"]["mean"] for method, scores in report["summary"].items()}
     grid = [[mean.get((a, b)) for b in betas] for a in alphas]
     common = {"experiment": "sweep", "seed": cfg["seeds"][0] if len(cfg["seeds"]) == 1 else -1}

@@ -16,10 +16,13 @@ topologies are provided:
 * ``block_superclass``: each class spreads ``eta`` uniformly over the
   other ``group_size - 1`` members of its group.
 
-Corruption resamples each label independently from its T row by inverse
-CDF under a seeded PCG64 stream, so runs are reproducible across
-platforms.  A draw past a row's total (rows may sum to 1 - 1e-12) takes
-the row's last nonzero class.  Features are never touched.
+A :class:`TransitionMatrix` holds only each row's nonzeros, at most three
+per row, or ``group_size`` for the superclass topologies, so no dense
+(C, C) array is made for it.  Corruption resamples each label
+independently from its T row by inverse CDF under a seeded PCG64 stream,
+so runs are reproducible across platforms.  A draw past a row's total
+(rows may sum to 1 - 1e-12) takes the row's last nonzero class.  Features
+are never touched.
 :func:`check_layout` is the one place for the layout rules.
 """
 
@@ -81,26 +84,49 @@ class NoiseSpec:
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic corruption probabilities."""
+    """Row-stochastic corruption probabilities, held as each row's nonzeros.
 
+    Row ``i`` holds ``T[i, columns[k]] = probs[k]`` for ``k`` in
+    ``range(starts[i], starts[i + 1])``, with its columns increasing; every
+    other entry is 0.  ``starts`` has C + 1 entries, from 0 to the number
+    of nonzeros, so a row of at most ``k`` nonzeros costs ``k`` entries,
+    not C.
+    """
+
+    starts: np.ndarray
+    columns: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        starts = np.asarray(self.starts, dtype=np.intp)
+        columns = np.asarray(self.columns, dtype=np.intp)
         probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {probs.shape}")
-        if np.any(probs < 0.0):
-            raise ValueError("transition probabilities must be non-negative")
-        sums = probs.sum(axis=1)
+        if starts.ndim != 1 or starts.size < 2 or starts[0] != 0 or np.any(np.diff(starts) < 0):
+            raise ValueError("starts must rise from 0, one entry per row and one more")
+        if columns.shape != probs.shape or columns.shape != (starts[-1],):
+            raise ValueError(f"columns and probs must hold {starts[-1]} nonzeros, got {columns.shape} and {probs.shape}")
+        self.starts, self.columns, self.probs = starts, columns, probs
+        C, rows = self.class_count, self.rows
+        if columns.size and (columns.min() < 0 or columns.max() >= C):
+            raise ValueError(f"columns must lie in [0, {C}) for a square matrix")
+        if np.any(np.diff(rows * C + columns) <= 0):
+            raise ValueError("a row's columns must increase")
+        if not np.all(probs > 0.0):
+            raise ValueError("transition probabilities must be positive where stored")
+        sums = np.bincount(rows, weights=probs, minlength=C)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if bad.any():
             row = int(np.argmax(bad))
-            raise ValueError(f"row {row} sums to {sums[row]!r}, not 1")
-        self.probs = probs
+            raise ValueError(f"row {row} sums to {float(sums[row])!r}, not 1")
 
     @property
     def class_count(self) -> int:
-        return int(self.probs.shape[0])
+        return self.starts.size - 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each nonzero."""
+        return np.repeat(np.arange(self.class_count), np.diff(self.starts))
 
 
 def default_column_sinks(class_count: int) -> tuple[int, int]:
@@ -137,40 +163,52 @@ def check_layout(spec: NoiseSpec, class_count: int) -> None:
 
 
 def build_transition(spec: NoiseSpec, class_count: int) -> TransitionMatrix:
-    """Construct the exact transition matrix for ``spec``."""
+    """Construct the exact transition matrix for ``spec``.
+
+    Each class gets a row of a few candidate entries, with the bits of
+    the entries of T's definition; the rows are sorted by column and their
+    zeros dropped.
+    """
     C = int(class_count)
     if C < 1:
         raise ValueError("class_count must be >= 1")
     check_layout(spec, C)
     eta = spec.eta
-    T = np.eye(C, dtype=np.float64)
+    c = np.arange(C)
 
     if spec.topology == "column":
         s1, s2 = map(int, spec.sinks if spec.sinks is not None else default_column_sinks(C))
-        rest = np.delete(np.arange(C), [s1, s2])
-        T[rest, rest] = 1.0 - eta
-        T[rest, s1] = eta / 2.0
-        T[rest, s2] = eta / 2.0
         sink_rate = max(0.0, eta - 0.2)
-        T[[s1, s2], [s1, s2]] = 1.0 - sink_rate
-        T[[s1, s2], [s2, s1]] = sink_rate
+        columns = np.column_stack([c, np.full(C, s1), np.full(C, s2)])
+        probs = np.tile([1.0 - eta, eta / 2.0, eta / 2.0], (C, 1))
+        # a sink keeps its own label or takes the other sink's; its third entry is empty
+        columns[[s1, s2]] = [[s1, s2, s2], [s2, s1, s1]]
+        probs[[s1, s2]] = [1.0 - sink_rate, sink_rate, 0.0]
 
     elif spec.topology == "asymmetric_pairs":
         src, dst = np.array(spec.pairs, dtype=int).T
-        T[src, src] = 1.0 - eta
-        T[src, dst] = eta
+        columns = np.column_stack([c, c])
+        probs = np.tile([1.0, 0.0], (C, 1))
+        columns[src, 1] = dst
+        probs[src] = [1.0 - eta, eta]
 
     else:
         g = int(spec.group_size)
-        c = np.arange(C)
         base = c // g * g
-        T[c, c] = 1.0 - eta
-        # cyclic's entry is eta added to the identity's 0.0: an eta of -0.0 gives 0.0
-        cyclic = spec.topology == "cyclic_superclass"
-        for k in range(1, 2 if cyclic else g):
-            T[c, base + (c - base + k) % g] = 0.0 + eta if cyclic else eta / (g - 1)
+        if spec.topology == "cyclic_superclass":
+            columns = np.column_stack([c, base + (c - base + 1) % g])
+            probs = np.tile([1.0 - eta, eta], (C, 1))
+        else:
+            columns = base[:, None] + np.arange(g)
+            probs = np.full((C, g), eta / (g - 1))
+            probs[c, c - base] = 1.0 - eta
 
-    return TransitionMatrix(probs=T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    columns = np.take_along_axis(columns, order, axis=1)
+    probs = np.take_along_axis(probs, order, axis=1)
+    nonzero = probs != 0.0
+    starts = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    return TransitionMatrix(starts, columns[nonzero], probs[nonzero])
 
 
 def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray:
@@ -187,14 +225,15 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
     rng = np.random.default_rng(seed)
     u = rng.random(clean.size)
     out = np.empty_like(clean)
-    # one CDF row and one searchsorted per clean class, over that class's
-    # positions; a row's cumsum has the bits of that row of the (C, C) one
+    # one CDF over a row's nonzeros and one searchsorted per clean class, over
+    # that class's positions; the dense row's CDF only adds +0.0 between them
+    starts, columns, probs = transition.starts, transition.columns, transition.probs
     order = np.argsort(clean, kind="stable")
     bounds = np.searchsorted(clean[order], np.arange(C + 1))
     for c in np.flatnonzero(np.diff(bounds)):
         group = order[bounds[c] : bounds[c + 1]]
-        out[group] = np.searchsorted(np.cumsum(transition.probs[c]), u[group], side="right")
-    # a draw past a row's total takes the row's last nonzero class
-    for i in np.flatnonzero(out == C):
-        out[i] = np.flatnonzero(transition.probs[clean[i]])[-1]
+        lo, hi = starts[c], starts[c + 1]
+        drawn = np.searchsorted(np.cumsum(probs[lo:hi]), u[group], side="right")
+        # a draw past a row's total takes the row's last nonzero class
+        out[group] = columns[lo:hi][np.minimum(drawn, hi - lo - 1)]
     return out

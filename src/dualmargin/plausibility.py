@@ -66,8 +66,14 @@ def q_mil() -> np.ndarray:
 
 
 def q_from_transition(transition) -> np.ndarray:
-    """Support mask of a :class:`~dualmargin.noise.TransitionMatrix`: Q[c, t] = (T[c, t] > 0)."""
-    return transition.probs > 0.0
+    """Support mask of a :class:`~dualmargin.noise.TransitionMatrix`: Q[c, t] = (T[c, t] > 0).
+
+    Q is made in Fortran order, the layout training reads it in.
+    """
+    C = transition.class_count
+    q = np.zeros((C, C), dtype=bool, order="F")
+    q[transition.rows, transition.columns] = True
+    return q
 
 
 # ---------------------------------------------------------------------------

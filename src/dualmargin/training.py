@@ -28,6 +28,7 @@ __all__ = [
     "ModelParams",
     "TrainConfig",
     "ExperimentReport",
+    "ConfusionCounts",
     "TrainingDivergedError",
     "init_model",
     "predict_logits",
@@ -88,12 +89,27 @@ class TrainConfig:
 
 
 @dataclass
+class ConfusionCounts:
+    """The nonzero cells of a (C, C) confusion matrix of (true class, predicted class) counts.
+
+    ``cells`` holds the flat indices ``true * C + pred`` in increasing
+    order and ``counts`` the positive count of each; every other cell is 0.
+    A test split of a few samples per class fills a few of the C * C cells.
+    """
+
+    class_count: int
+    cells: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass
 class ExperimentReport:
     """Metrics of one run: curve, accuracy, confusion, probability masses.
 
     The record a run's ``report.json`` entry is written from, as its
-    ``vars``.  ``confusion_matrix`` is an int32 (C, C) array of counts and
-    ``diagonal_mass`` its :func:`diagonal_mass`.  ``mean_mass`` holds the
+    ``vars``.  ``confusion_matrix`` holds the counts as
+    :class:`ConfusionCounts`, written as the dense (C, C) rows, and
+    ``diagonal_mass`` is its :func:`diagonal_mass`.  ``mean_mass`` holds the
     average probability allocated to the exact label, its plausible set,
     and the complement (only when a plausibility matrix was supplied at
     evaluation time).
@@ -101,7 +117,7 @@ class ExperimentReport:
 
     train_curve: list[float]
     clean_test_accuracy: float
-    confusion_matrix: np.ndarray
+    confusion_matrix: ConfusionCounts
     diagonal_mass: float
     mean_mass: dict[str, float] | None = None
     extras: dict = field(default_factory=dict)
@@ -252,22 +268,23 @@ def train(
 
 
 # bytes of one block of evaluate's logits
-_EVAL_BLOCK_BYTES = 2 << 20
+_EVAL_BLOCK_BYTES = 1 << 20
 
 
 def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> ExperimentReport:
     """Accuracy, confusion matrix, its diagonal mass, and probability-mass diagnostics.
 
     Predictions are argmax over logits with ties broken toward the lowest
-    class index.  The confusion matrix holds int32 counts indexed (true
-    class, predicted class) against the clean labels, and the report's
+    class index.  The confusion matrix counts (true class, predicted
+    class) pairs against the clean labels as :class:`ConfusionCounts`,
+    taken by a stable sort of the flat cell indices, and the report's
     ``diagonal_mass`` is :func:`diagonal_mass` of it.  When ``q`` is
     given, the mean masses of the exact label, its plausible set, and the
     complement are computed w.r.t. the clean labels.  A non-finite logit,
     which finite but huge weights can give, raises
     :class:`TrainingDivergedError`.
 
-    Rows are scored in blocks of about 2 MB of logits, of equal height.
+    Rows are scored in blocks of about 1 MB of logits, of equal height.
     Every per-row result depends only on that row's logits, and each mean
     is taken once over all rows, so the report equals that of one pass
     over the whole set bit for bit whenever the matrix product gives each
@@ -306,10 +323,12 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
             masses[1, block] = logits.sum(axis=1)
             np.copyto(probs, 0.0, where=masks)
             masses[2, block] = probs.sum(axis=1)
-    logits = probs = masks = None  # free the last block before the C x C matrix is made
-
-    confusion = np.zeros((C, C), dtype=np.int32)
-    np.add.at(confusion, (labels, preds), 1)
+    # a stable argsort, as corrupt_labels takes: a process that first calls
+    # np.sort pages in about 0.3 MB more of numpy
+    cells = labels * C + preds
+    cells = cells[np.argsort(cells, kind="stable")]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    confusion = ConfusionCounts(C, cells[first], np.diff(first, append=n))
     accuracy = float((preds == labels).mean()) if n else 0.0
     mean_mass = None
     if masses is not None:
@@ -325,17 +344,23 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     )
 
 
-def diagonal_mass(confusion) -> float:
+def diagonal_mass(confusion: ConfusionCounts) -> float:
     """Trace of the row-normalized confusion matrix.
 
     A scalar proxy for how near-diagonal the prediction structure is;
     equals the sum of per-class recalls.  Empty rows contribute 0.
     """
-    confusion = np.asarray(confusion)
-    # row sums of exact counts, without a float copy of the matrix
-    row_sums = confusion.sum(axis=1, dtype=np.float64)
+    diagonal, row_sums = _diagonal_and_row_sums(confusion)
     safe = np.where(row_sums > 0, row_sums, 1.0)
-    return float((np.diag(confusion) / safe).sum())
+    return float((diagonal / safe).sum())
+
+
+def _diagonal_and_row_sums(confusion: ConfusionCounts) -> tuple[np.ndarray, np.ndarray]:
+    """The dense length-C diagonal and row sums of the counts, as floats of exact counts."""
+    C = confusion.class_count
+    true, pred = np.divmod(confusion.cells, C)
+    diagonal = np.bincount(true, weights=np.where(true == pred, confusion.counts, 0), minlength=C)
+    return diagonal, np.bincount(true, weights=confusion.counts, minlength=C)
 
 
 def train_mil_instances(bags, cfg: TrainConfig, q: np.ndarray | None = None) -> ExperimentReport:
@@ -343,24 +368,27 @@ def train_mil_instances(bags, cfg: TrainConfig, q: np.ndarray | None = None) -> 
 
     Every instance inherits its bag label for supervision; the hidden
     instance truth is used only to score the result.  The report's extras
-    carry per-class recall plus the recall on truly-negative instances
-    inside positive bags, the population that inherited wrong labels.
+    carry per-class recall, read from the report's confusion counts, plus
+    the recall on truly-negative instances inside positive bags, the
+    population that inherited wrong labels, read from one more
+    :func:`evaluate` over the positive bags' instances.
     """
     from .datasets import LabeledDataset
 
     X, inherited, truth = bags.flatten()
     dataset = LabeledDataset(features=X, clean_labels=truth, class_count=2, noisy_labels=inherited)
     model, report = train(dataset, q, cfg, test_data=dataset)
-
-    logits = predict_logits(model, X)
-    preds = np.argmax(logits, axis=1)
-    neg = truth == 0
-    pos = truth == 1
     # an instance inherits its bag's label
-    neg_in_pos_bags = neg & (inherited == 1)
-    report.extras["recall_negative"] = float((preds[neg] == 0).mean()) if neg.any() else float("nan")
-    report.extras["recall_positive"] = float((preds[pos] == 1).mean()) if pos.any() else float("nan")
-    report.extras["recall_negative_in_positive_bags"] = (
-        float((preds[neg_in_pos_bags] == 0).mean()) if neg_in_pos_bags.any() else float("nan")
-    )
+    in_pos = inherited == 1
+    pos_bags = evaluate(model, LabeledDataset(features=X[in_pos], clean_labels=truth[in_pos], class_count=2))
+    recalls = _class_recalls(report.confusion_matrix)
+    report.extras["recall_negative"] = recalls[0]
+    report.extras["recall_positive"] = recalls[1]
+    report.extras["recall_negative_in_positive_bags"] = _class_recalls(pos_bags.confusion_matrix)[0]
     return report
+
+
+def _class_recalls(confusion: ConfusionCounts) -> list[float]:
+    """Each class's recall, a correctly rounded count / total as the mean of a boolean mask is; nan for an empty row."""
+    diagonal, row_sums = _diagonal_and_row_sums(confusion)
+    return [hits / total if total else float("nan") for hits, total in zip(diagonal.tolist(), row_sums.tolist())]

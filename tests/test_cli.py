@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dualmargin import LossParams, cli, experiments, loss_from_logits, training
 from dualmargin.cli import main
 from dualmargin.plausibility import q_ordinal
+from helpers import counts_from_dense, dense_counts
 
 
 @pytest.fixture
@@ -472,7 +473,7 @@ class TestExperimentCommands:
         experiments.validate_config(cfg)
 
     def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys):
-        # numpy fails the C x C transition matrix's allocation at once
+        # numpy fails the room asked for Q's C x C array at once, before T is built
         cfg = write_config(tmp_path, {"dataset": {"class_count": 10**9}})
         code, _, err = run_cli(["noise-recovery", "--config", cfg, "--out", tmp_path / "o"], capsys)
         assert code == 1
@@ -619,22 +620,20 @@ _JSON_VALUES = st.recursive(
 )
 
 
-# 2-D int32 and int64 arrays, empty sides and int32's extremes included
-_INT_MATRICES = st.builds(
-    lambda dtype, shape, data: np.resize(np.asarray(data, dtype=dtype), shape),
-    st.sampled_from([np.int32, np.int64]),
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    st.lists(
-        st.integers(-(2**31), 2**31 - 1) | st.sampled_from([0, 1, -1, -(2**31), 2**31 - 1]), min_size=1, max_size=16
-    ),
+# confusion counts of 1 to 4 classes, empty rows and int64's largest count included
+_COUNT_MATRICES = st.builds(
+    lambda C, data: counts_from_dense(np.resize(np.asarray(data, dtype=np.int64), (C, C))),
+    st.integers(1, 4),
+    st.lists(st.integers(0, 2**63 - 1) | st.sampled_from([0, 0, 1, 2, 2**63 - 1]), min_size=1, max_size=16),
 )
 
 
 class TestReportWriter:
     @staticmethod
     def dumps(payload) -> bytes:
-        # an array is written as its tolist(); a payload without one is unaffected
-        return (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n").encode("utf-8")
+        # counts are written as their dense rows; a payload without them is unaffected
+        text = json.dumps(payload, indent=2, sort_keys=True, default=lambda counts: dense_counts(counts).tolist())
+        return (text + "\n").encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(payload=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
@@ -647,15 +646,15 @@ class TestReportWriter:
     @given(
         payload=st.dictionaries(
             _JSON_KEYS,
-            _INT_MATRICES
-            | st.lists(_INT_MATRICES, max_size=3)
-            | st.dictionaries(_JSON_KEYS, _INT_MATRICES | _JSON_VALUES, max_size=3),
+            _COUNT_MATRICES
+            | st.lists(_COUNT_MATRICES, max_size=3)
+            | st.dictionaries(_JSON_KEYS, _COUNT_MATRICES | _JSON_VALUES, max_size=3),
             max_size=4,
         )
     )
-    @example({"a": np.zeros((0, 3), dtype=np.int32), "b": np.zeros((3, 0), dtype=np.int64)})
-    @example({"a": [np.array([[2**31 - 1]], dtype=np.int32), np.array([[-(2**31)]], dtype=np.int64)]})
-    def test_integer_arrays_equal_json_dumps_of_their_lists(self, tmp_path_factory, payload):
+    @example({"a": counts_from_dense(np.zeros((3, 3), dtype=int)), "b": counts_from_dense([[0]])})
+    @example({"a": [counts_from_dense([[2**63 - 1]]), counts_from_dense([[0, 1], [7, 0]])]})
+    def test_confusion_counts_equal_json_dumps_of_their_dense_rows(self, tmp_path_factory, payload):
         path = tmp_path_factory.getbasetemp() / "arrays.json"
         experiments._write_json(path, payload)
         assert path.read_bytes() == self.dumps(payload)
@@ -670,9 +669,10 @@ class TestReportWriter:
         "payload",
         [
             {"a": object()}, [{"b": b"x"}],
-            # only 2-D integer arrays are written
+            # no array is written, a dense count matrix included
             {"a": np.zeros(3, dtype=int)}, {"a": np.zeros((2, 2))}, {"a": np.zeros((1, 1, 1), dtype=int)},
             {"a": np.int64(1)},  # a numpy integer is no int
+            {"a": np.eye(2, dtype=np.int32)},
         ],
     )
     def test_unsupported_payload_raises_type_error(self, tmp_path, payload):
@@ -681,7 +681,7 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("text", [experiments._MARK, '"' + experiments._MARK], ids=["marker", "quote-marker"])
     def test_payload_string_holding_the_marker_raises_and_writes_nothing(self, tmp_path, text):
-        payload = {"a": np.eye(2, dtype=np.int32), "b": [text]}
+        payload = {"a": counts_from_dense(np.eye(2, dtype=int)), "b": [text]}
         with pytest.raises(ValueError, match="marker"):
             experiments._write_json(tmp_path / "x.json", payload)
         assert list(tmp_path.iterdir()) == []
@@ -706,9 +706,9 @@ class TestReportWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_is_independent_of_the_text_size(self, tmp_path):
-        # about 11 MB of text, a C = 1000 confusion matrix as evaluate makes it
-        matrix = np.fromfunction(lambda i, j: (i * j) % 1000, (1000, 1000), dtype=np.int32)
-        payload = {"confusion_matrix": matrix}
+        # about 11 MB of text from the counts of a C = 1000 confusion matrix
+        matrix = np.fromfunction(lambda i, j: (i * j) % 1000, (1000, 1000), dtype=np.int64)
+        payload = {"confusion_matrix": counts_from_dense(matrix)}
         tracemalloc.start()
         try:
             experiments._write_json(tmp_path / "report.json", payload)
@@ -752,9 +752,9 @@ class TestReportWriter:
 
 
 def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
-    """At C = 1000 a run's memory is its C x C arrays: the transition matrix
-    (8 MB) lives only while labels are corrupted, and the confusion matrix is
-    kept and written as an int32 array, never as a list of Python ints."""
+    """At C = 1000 a run's one C x C array is Q (1 MB): the transition matrix
+    holds each row's nonzeros, and the confusion matrix is kept as its
+    nonzero cells and written row by row, never as a list of Python ints."""
     cfg = experiments.merge_config(
         experiments.default_config("noise_recovery"),
         {
@@ -776,9 +776,34 @@ def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
     assert peak <= 20 << 20
 
 
+def test_wide_noise_recovery_grows_at_most_1_mb_per_seed(tmp_path, capsys):
+    """A seed adds no C x C array to a run at C = 1000: one transition matrix
+    serves every seed, and a seed's two reports keep their sparse counts,
+    where two dense int32 matrices would add 8 MB a seed."""
+    peaks = []
+    for seeds in ([0], [0, 1, 2]):
+        cfg = experiments.merge_config(
+            experiments.default_config("noise_recovery"),
+            {
+                "seeds": seeds,
+                "output_dir": str(tmp_path / f"seeds-{len(seeds)}"),
+                "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2},
+                "train": {"epochs": 1},
+            },
+        )
+        tracemalloc.start()
+        try:
+            experiments.run_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert (peaks[1] - peaks[0]) / 2 <= 1 << 20
+
+
 def test_wide_sweep_keeps_no_run_it_never_writes(tmp_path, capsys):
-    """The sweep writes only mean accuracies, so it keeps no run's report:
-    at C = 1000 each would hold a 4 MB confusion matrix until the end."""
+    """The sweep writes only mean accuracies, so it keeps no run's report
+    or model: at C = 1000 each would hold its 128 KB of weights until the end."""
     cfg = experiments.merge_config(
         experiments.default_config("sweep"),
         {

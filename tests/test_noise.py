@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dualmargin import NoiseSpec, TransitionMatrix, build_transition, corrupt_labels
+from dualmargin import NoiseSpec, TransitionMatrix, build_transition, corrupt_labels, q_from_transition
 from dualmargin.noise import default_column_sinks
+from helpers import dense_transition, transition_from_dense
 
 
 class TestColumn:
     def test_canonical_entries(self):
         t = build_transition(NoiseSpec("column", 0.6, sinks=(3, 5)), 10)
-        T = t.probs
+        T = dense_transition(t)
         assert T[0, 0] == 1.0 - 0.6
         assert T[0, 3] == 0.6 / 2
         assert T[0, 5] == 0.6 / 2
@@ -22,13 +23,13 @@ class TestColumn:
 
     def test_sparsity_structure(self):
         t = build_transition(NoiseSpec("column", 0.6, sinks=(3, 5)), 10)
-        nz = (t.probs > 0).sum(axis=1)
+        nz = (dense_transition(t) > 0).sum(axis=1)
         for c in range(10):
             assert nz[c] == (2 if c in (3, 5) else 3)
 
     def test_zero_rate_is_identity(self):
         t = build_transition(NoiseSpec("column", 0.0), 10)
-        np.testing.assert_array_equal(t.probs, np.eye(10))
+        np.testing.assert_array_equal(dense_transition(t), np.eye(10))
 
     def test_default_sinks(self):
         assert default_column_sinks(10) == (3, 5)
@@ -48,7 +49,7 @@ class TestAsymmetricPairs:
 
     def test_canonical_entries(self):
         t = build_transition(NoiseSpec("asymmetric_pairs", 0.45, pairs=self.PAIRS), 10)
-        T = t.probs
+        T = dense_transition(t)
         assert T[3, 3] == 1.0 - 0.45
         assert T[3, 5] == 0.45
         for c in (0, 1, 5, 6, 7, 8):
@@ -71,7 +72,7 @@ class TestAsymmetricPairs:
 class TestSuperclass:
     def test_cyclic_entries(self):
         t = build_transition(NoiseSpec("cyclic_superclass", 0.45, group_size=5), 100)
-        T = t.probs
+        T = dense_transition(t)
         assert T[0, 0] == 1.0 - 0.45
         assert T[0, 1] == 0.45
         assert T[4, 0] == 0.45  # last member wraps to the group start
@@ -80,7 +81,7 @@ class TestSuperclass:
 
     def test_block_entries(self):
         t = build_transition(NoiseSpec("block_superclass", 0.6, group_size=5), 100)
-        T = t.probs
+        T = dense_transition(t)
         assert T[7, 7] == 1.0 - 0.6
         base = (7 // 5) * 5
         for other in range(base, base + 5):
@@ -111,11 +112,32 @@ class TestRowStochastic:
     )
     def test_rows_sum_to_one(self, spec, count):
         t = build_transition(spec, count)
-        np.testing.assert_allclose(t.probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(dense_transition(t).sum(axis=1), 1.0, atol=1e-12)
 
     def test_invalid_rows_rejected_by_type(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(probs=np.array([[0.5, 0.4], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^row 0 sums to"):
+            transition_from_dense(np.array([[0.5, 0.4], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "starts, columns, probs, message",
+        [
+            ([1, 2], [0], [1.0], "^starts "),
+            ([0, 2, 1], [0, 1], [0.5, 0.5], "^starts "),
+            ([0, 1, 2], [0, 1], [1.0], "^columns and probs "),
+            ([0, 1, 2], [0, 2], [1.0, 1.0], r"^columns must lie in \[0, 2\)"),
+            ([0, 2, 3], [1, 0, 1], [0.5, 0.5, 1.0], "^a row's columns must increase"),
+            ([0, 2, 3], [0, 0, 1], [0.5, 0.5, 1.0], "^a row's columns must increase"),
+            ([0, 2, 3], [0, 1, 1], [1.0, 0.0, 1.0], "^transition probabilities must be positive"),
+            ([0, 1, 1], [0], [1.0], "^row 1 sums to 0.0, not 1$"),
+        ],
+        ids=[
+            "first-start", "falling-starts", "short-probs", "column-range",
+            "falling-columns", "repeated-column", "stored-zero", "empty-row",
+        ],
+    )
+    def test_malformed_rows_rejected(self, starts, columns, probs, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(np.array(starts), np.array(columns), np.array(probs))
 
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
@@ -179,9 +201,43 @@ class TestPerRowOracle:
         for topology, layout in layouts(C):
             for eta in (0.0, -0.0, 0.1, 0.2, 0.6, 1.0):
                 spec = NoiseSpec(topology, eta, **layout)
-                assert build_transition(spec, C).probs.tobytes() == per_row_transition(spec, C).tobytes(), spec
+                t, T = build_transition(spec, C), per_row_transition(spec, C)
+                # the oracle's nonzeros, row by row with columns increasing; it
+                # holds -0.0 where eta is -0.0, which is no nonzero
+                rows, columns = np.nonzero(T)
+                assert t.class_count == C, spec
+                np.testing.assert_array_equal(t.rows, rows)
+                np.testing.assert_array_equal(t.columns, columns)
+                assert t.probs.tobytes() == T[rows, columns].tobytes(), spec
                 specs += 1
         assert specs >= 5 * 6
+
+    @pytest.mark.parametrize("C", [2, 10, 1000])
+    def test_q_and_corruption_have_the_oracle_bits(self, monkeypatch, C):
+        labels = np.arange(C).repeat(4)
+        u = np.random.default_rng(C).random(labels.size)
+        draws = []
+
+        class FixedDraws:
+            def random(self, size):
+                return draws[-1].copy()
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
+        for topology, layout in layouts(C):
+            for eta in (0.0, 0.2, 0.6, 1.0):
+                spec = NoiseSpec(topology, eta, **layout)
+                t, T = build_transition(spec, C), per_row_transition(spec, C)
+                q = q_from_transition(t)
+                assert q.flags.f_contiguous
+                np.testing.assert_array_equal(q, T > 0)
+                cdf = np.cumsum(T, axis=1)  # the dense per-row CDF
+                # every class's last draw is its row's total, which is past its end
+                draws.append(u.copy())
+                draws[-1][3::4] = cdf[:, -1]
+                drawn = (cdf[labels] <= draws[-1][:, None]).sum(axis=1)  # searchsorted(side="right")
+                last = C - 1 - np.argmax(T[:, ::-1] > 0, axis=1)
+                expected = np.where(drawn < C, drawn, last[labels])
+                np.testing.assert_array_equal(corrupt_labels(labels, t, seed=0), expected)
 
 
 class TestLayoutKeys:
@@ -225,7 +281,7 @@ class TestCorruption:
         labels = rng.integers(0, 10, size=n)
         out = corrupt_labels(labels, t, seed=7)
         prior = np.bincount(labels, minlength=10) / n
-        expected = prior @ t.probs
+        expected = prior @ dense_transition(t)
         for s in (3, 5):
             frac = (out == s).mean()
             sigma = np.sqrt(expected[s] * (1 - expected[s]) / n)
@@ -239,7 +295,7 @@ class TestCorruption:
         out = corrupt_labels(labels, t, seed=3)
         for c in range(10):
             observed = np.bincount(out[labels == c], minlength=10)
-            expected = t.probs[c] * per_class
+            expected = dense_transition(t)[c] * per_class
             support = expected > 0
             chi2 = ((observed[support] - expected[support]) ** 2 / expected[support]).sum()
             dof = support.sum() - 1
@@ -263,7 +319,7 @@ class TestCorruption:
         labels[labels == 11] = 10  # one class that never occurs
         # oracle: the inverse-CDF draw one label at a time
         u = np.random.default_rng(9).random(n)
-        cdf = np.cumsum(t.probs, axis=1)
+        cdf = np.cumsum(dense_transition(t), axis=1)
         expected = np.array([min(np.searchsorted(cdf[c], ui, side="right"), 11) for c, ui in zip(labels, u)], dtype=int)
         out = corrupt_labels(labels, t, seed=9)
         assert out.dtype == expected.dtype and out.shape == (n,)
@@ -281,10 +337,10 @@ class TestCorruption:
     )
     def test_equals_the_dense_cdf_formula_up_to_the_clamp(self, monkeypatch, spec):
         C = 12
-        probs = build_transition(spec, C).probs.copy()
+        probs = dense_transition(build_transition(spec, C))
         short = 5  # a row summing to 1 - 1e-13, inside the row-sum tolerance
         probs[short, np.argmax(probs[short])] -= 1e-13
-        t = TransitionMatrix(probs)
+        t = transition_from_dense(probs)
         labels = np.random.default_rng(1).integers(0, C, size=3000)
         u = np.random.default_rng(2).random(labels.size)
         # draws above the short row's last CDF value fall past its end

@@ -24,6 +24,7 @@ from dualmargin import (
 from dualmargin import training
 from dualmargin.loss import batch_loss, sets_from_q
 from dualmargin.training import _backward, _forward, init_model, predict_logits
+from helpers import counts_from_dense, dense_counts
 
 
 def same_group(groups):
@@ -192,7 +193,7 @@ class TestQLayout:
             assert a.tobytes() == b.tobytes()
         assert report_c.train_curve == report_f.train_curve
         assert report_c.clean_test_accuracy == report_f.clean_test_accuracy
-        np.testing.assert_array_equal(report_c.confusion_matrix, report_f.confusion_matrix)
+        np.testing.assert_array_equal(dense_counts(report_c.confusion_matrix), dense_counts(report_f.confusion_matrix))
         assert report_c.mean_mass == report_f.mean_mass
         # the loss gathers Q's columns, so train hands it Q in Fortran order
         assert all(seen) and len(seen) == (0 if loss == "cross_entropy" else 2 * 3 * 13)
@@ -205,8 +206,9 @@ class TestEvaluate:
         model, _ = train(data, None, cfg)
         report = evaluate(model, test)
         counts = np.bincount(test.clean_labels, minlength=test.class_count)
-        assert report.confusion_matrix.dtype == np.int32
-        np.testing.assert_array_equal(report.confusion_matrix.sum(axis=1), counts)
+        confusion = report.confusion_matrix
+        assert np.all(np.diff(confusion.cells) > 0) and np.all(confusion.counts > 0)
+        np.testing.assert_array_equal(dense_counts(confusion).sum(axis=1), counts)
 
     def test_report_holds_the_diagonal_mass_of_its_confusion(self):
         data, test = separable_mixture()
@@ -221,7 +223,8 @@ class TestEvaluate:
         model, _ = train(ring, None, cfg)
         report = evaluate(model, ring)
         assert report.clean_test_accuracy > 0.98
-        off_diag = report.confusion_matrix.sum() - np.trace(report.confusion_matrix)
+        confusion = dense_counts(report.confusion_matrix)
+        off_diag = confusion.sum() - np.trace(confusion)
         assert off_diag <= 0.02 * ring.features.shape[0]
 
     def test_uniform_logits_tie_break_to_lowest_index(self):
@@ -233,7 +236,7 @@ class TestEvaluate:
         report = evaluate(model, data)
         class0_rate = (data.clean_labels == 0).mean()
         assert report.clean_test_accuracy == pytest.approx(class0_rate, abs=0)
-        assert report.confusion_matrix[:, 1:].sum() == 0
+        assert dense_counts(report.confusion_matrix)[:, 1:].sum() == 0
 
     def test_mass_diagnostics_partition_unity(self):
         data, test = separable_mixture()
@@ -287,7 +290,7 @@ class TestEvaluate:
             report = evaluate(model, test, q=q)
             accuracy, confusion, masses = self.where_formula(model, test, q)
         assert report.clean_test_accuracy == accuracy
-        np.testing.assert_array_equal(report.confusion_matrix, confusion)
+        np.testing.assert_array_equal(dense_counts(report.confusion_matrix), confusion)
         got = np.array([report.mean_mass[k] for k in ("p_target", "p_plausible", "p_implausible")])
         assert got.tobytes() == masses.tobytes()
 
@@ -316,7 +319,7 @@ class TestEvaluate:
         report = evaluate(model, data, q=q)
         accuracy, confusion, masses = self.where_formula(model, data, q if with_q else np.eye(C, dtype=bool))
         assert report.clean_test_accuracy == accuracy
-        np.testing.assert_array_equal(report.confusion_matrix, confusion)
+        np.testing.assert_array_equal(dense_counts(report.confusion_matrix), confusion)
         if with_q:
             got = np.array([report.mean_mass[k] for k in ("p_target", "p_plausible", "p_implausible")])
             assert got.tobytes() == masses.tobytes()
@@ -330,7 +333,7 @@ class TestEvaluate:
             warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no rows
             report = evaluate(model, data, q=np.eye(5, dtype=bool) if with_q else None)
         assert report.clean_test_accuracy == 0.0
-        np.testing.assert_array_equal(report.confusion_matrix, np.zeros((5, 5), dtype=int))
+        np.testing.assert_array_equal(dense_counts(report.confusion_matrix), np.zeros((5, 5), dtype=int))
         if with_q:
             assert all(np.isnan(v) for v in report.mean_mass.values())
         else:
@@ -357,13 +360,22 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the int32 C x C confusion matrix (4 MB) is made after the last
-        # block's logits and probabilities (2 MB each) are released
-        assert peak <= C * C * 8 + (2 << 20)
+        # a block's logits and probabilities (1 MB each), its masks, the
+        # per-row results and the sparse counts; no C x C array (8 MB)
+        assert peak <= 5 << 20
 
     def test_diagonal_mass_of_identity_confusion(self):
-        assert diagonal_mass(np.diag([5, 3, 2])) == pytest.approx(3.0)
-        assert diagonal_mass(np.array([[1, 1], [0, 0]])) == pytest.approx(0.5)
+        assert diagonal_mass(counts_from_dense(np.diag([5, 3, 2]))) == pytest.approx(3.0)
+        assert diagonal_mass(counts_from_dense(np.array([[1, 1], [0, 0]]))) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("C", [1, 7, 300])
+    def test_diagonal_mass_has_the_dense_formula_bits(self, C):
+        rng = np.random.default_rng(C)
+        confusion = rng.integers(0, 4, size=(C, C)) * (rng.random((C, C)) < 0.1)
+        confusion[C // 2] = 0  # an empty row
+        row_sums = confusion.sum(axis=1, dtype=np.float64)
+        dense = float((np.diag(confusion) / np.where(row_sums > 0, row_sums, 1.0)).sum())
+        assert diagonal_mass(counts_from_dense(confusion)) == dense
 
 
 def hierarchy_mixture(seed):

@@ -20,10 +20,10 @@ on each tree, emptying ROOT in between, and ``diff`` the two listings:
 
 Progress lines of the runs go to stderr.  The list covers every family
 at its default and at a tiny config, the benchmark's workloads, both
-architectures and schedules, every noise topology, a sweep at C = 1000,
-the CLI's seed and weight flags, and diverging runs whose ``failures``
-text is an artifact.  A whole run takes about a minute on a 2-core
-host, most of it the default sweep.
+architectures and schedules, every noise topology at C = 10 and at
+C = 1000, a sweep at C = 1000, the CLI's seed and weight flags, and
+diverging runs whose ``failures`` text is an artifact.  A whole run
+takes about a minute on a 2-core host, most of it the default sweep.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ TINY = {
 # a small mixture for the noise layouts, the other architecture and divergence
 _MIXTURE = {"seeds": [0], "dataset": {"n_per_class": 20, "n_test_per_class": 20}, "train": {"epochs": 2}}
 _MLP1 = {"architecture": "mlp1", "hidden_units": 8, "lr_schedule": "constant"}
-# the sweep's only run at C = 1000; the others take it at C = 10
+# the C = 1000 runs: the sweep's, and noise-recovery's under each topology but column
 _WIDE = {"seeds": [0, 1], "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2}, "train": {"epochs": 1}}
 _DIVERGING = {"seeds": [0, 1], "dataset": {"n_per_class": 20, "n_test_per_class": 20}, "train": {"epochs": 2, "learning_rate": 1e308}}
 
@@ -76,6 +76,9 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-column-sinks", "noise-recovery", _merged(_MIXTURE, noise={"sinks": [3, 5]}), []),
         ("toy2d-flags", "toy2d", TINY["toy2d"], ["--seed", "3", "--alpha", "0.5", "--beta", "2.5"]),
         ("sweep-wide", "sweep", _merged(_WIDE, sweep={"alpha_values": [0.1, 1.0], "beta_values": [0.0, 1.0]}), []),
+        ("noise-wide-asymmetric-pairs", "noise-recovery", _merged(_WIDE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[999, 0], [0, 1], [500, 499]]}), []),
+        ("noise-wide-cyclic-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 10}), []),
+        ("noise-wide-block-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 8}), []),
         ("sweep-diverging", "sweep", _merged(_DIVERGING, sweep={"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]}), []),
         ("noise-recovery-diverging", "noise-recovery", _DIVERGING, []),
     ]
