@@ -8,9 +8,11 @@ Subcommands: ``loss-eval``, ``toy2d``, ``noise-recovery``, ``mil-toy``,
 section (``sweep`` reads its weights from ``sweep.alpha_values`` and
 ``sweep.beta_values``).
 
-Exit codes: 0 success, 1 runtime failure (a diverged run, an i/o failure,
-or out of memory), 2 invalid input; a bad config value exits 2 before any
-run, naming its ``section.key``.
+Exit codes: 0 success, also when runs fail (each is recorded in
+``report.json``'s ``failures`` and printed to stderr as ``[family] seed=...
+method=... FAILED: <error>``, then ``N of M runs failed``); 1 an i/o
+failure or out of memory; 2 invalid input, a bad config value exiting
+before any run, naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .experiments import EXPERIMENTS, default_config, load_config, merge_config, run_experiment
 from .loss import LossParams, loss_from_logits
 from .plausibility import load_q_text
-from .training import TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -105,9 +106,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except TrainingDivergedError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

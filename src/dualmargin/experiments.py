@@ -7,14 +7,13 @@ Wall-clock timings are therefore reported on stdout only, never in the
 artifacts.  All files are written atomically (temp file + rename): a
 write that fails or is interrupted leaves no temp file and no partial
 file.  A run's ``report.json`` entry is the ``vars`` of its
-:class:`~dualmargin.training.ExperimentReport`, so it holds the
-confusion matrix as the nonzero cells of
-:class:`~dualmargin.training.ConfusionCounts`, not as a dense (C, C)
-array or lists of Python ints.  The JSON writer takes the text around
-those counts from one ``json.dumps`` call and streams the dense rows'
-text to disk, one row at a time, so neither the dense matrix nor the
-text of a C x C report is ever held in memory; a value it cannot write
-raises before any byte is written.
+:class:`~dualmargin.training.ExperimentReport`, and each JSON file is
+one ``json.dumps`` text: the confusion matrix is written as the nonzero
+cells of its :class:`~dualmargin.training.ConfusionCounts`,
+``{"class_count": C, "cells": [...], "counts": [...]}`` with ``cells``
+the flat indices ``true * C + pred`` in increasing order, so no dense
+(C, C) matrix or its text is ever built.  A value the writer cannot
+write raises before any byte is written.
 
 Per output directory the runners emit:
 
@@ -42,7 +41,6 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -312,24 +310,19 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path, text: str | Iterable[str]) -> None:
+def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename.
 
-    ``text`` is a str, or an iterable of str that is written piece by
-    piece as it is produced.  On any exception, including one raised by
-    ``text`` while it is consumed, the temp file is removed and the error
-    re-raised: ``path`` keeps what it held before and interrupted runs
-    leave no partial file.
+    On any exception the temp file is removed and the error re-raised:
+    ``path`` keeps what it held before and interrupted runs leave no
+    partial file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -353,79 +346,23 @@ def _write_metrics_csv(out_dir: Path, rows: list[dict]) -> None:
     atomic_write_text(out_dir / "metrics.csv", buf.getvalue())
 
 
-class _IntTexts(dict):
-    """``sep + repr(v)`` per int ``v``, made on first lookup."""
-
-    def __init__(self, sep: str):
-        super().__init__()
-        self.sep = sep
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = self.sep + int.__repr__(value)
-        return text
-
-
-def _count_matrix_chunks(confusion: ConfusionCounts, pad: str):
-    """Yield the JSON text of the dense (C, C) count matrix's ``tolist()``, one row at a time.
-
-    Each dense row is filled from its cells in one length-C buffer, and
-    its elements are looked up in a table of their text, comma, line
-    break and indent included, with one entry per distinct value; a count
-    matrix holds few distinct values, so few ints are formatted.
-    """
-    C, cells, counts = confusion.class_count, confusion.cells, confusion.counts
-    inner = pad + "  "
-    table = _IntTexts("," + inner + "  ")
-    bounds = np.searchsorted(cells, np.arange(0, C * C + 1, C))
-    row = np.zeros(C, dtype=np.int64)
-    for i in range(C):
-        lo, hi = bounds[i], bounds[i + 1]
-        columns = cells[lo:hi] - i * C
-        row[columns] = counts[lo:hi]
-        # text[1:] drops the first element's comma
-        text = "".join(map(table.__getitem__, row.tolist()))[1:]
-        row[columns] = 0
-        yield ("," if i else "[") + inner + "[" + text + inner + "]"
-    yield pad + "]"
-
-
-# stands in for each confusion matrix in the json.dumps text of a payload
-_MARK = "\0int matrix\0"
+def _counts_as_cells(value) -> dict:
+    """``json.dumps``'s ``default``: a ConfusionCounts as its class count and nonzero cells."""
+    if isinstance(value, ConfusionCounts):
+        return {"class_count": value.class_count, "cells": value.cells.tolist(), "counts": value.counts.tolist()}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
     A payload may also hold :class:`~dualmargin.training.ConfusionCounts`:
-    each is written as the ``tolist()`` of its dense (C, C) count matrix,
-    without that matrix or its C x C list of Python ints being built.  The
-    text around the counts comes from one ``json.dumps`` call with a
-    marker string in the place of each; only the dense rows' text is
-    streamed to the file.  Any other value json cannot write raises
-    TypeError, and a payload string that holds the marker raises
-    ValueError, both before a byte is written: ``path`` then keeps what it
-    held before.
+    each is written as ``{"class_count": C, "cells": [...], "counts":
+    [...]}``, its nonzero cells and their counts.  Any other value json
+    cannot write raises TypeError before a byte is written: ``path`` then
+    keeps what it held before.
     """
-    confusions = []
-
-    def mark(value):
-        if isinstance(value, ConfusionCounts):
-            confusions.append(value)
-            return _MARK
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    pieces = json.dumps(payload, indent=2, sort_keys=True, default=mark).split(json.dumps(_MARK))
-    if len(pieces) != len(confusions) + 1:
-        raise ValueError("a string in the payload holds the confusion matrix marker")
-
-    def chunks():
-        for piece, confusion in zip(pieces, confusions):
-            yield piece
-            line = piece[piece.rfind("\n") + 1:]
-            yield from _count_matrix_chunks(confusion, "\n" + " " * (len(line) - len(line.lstrip(" "))))
-        yield pieces[-1] + "\n"
-
-    atomic_write_text(path, chunks())
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_counts_as_cells) + "\n")
 
 
 def _mean_std(values: list[float]) -> dict:
@@ -449,7 +386,9 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
     ``LossParams(*weights)`` or None.  A name is a string, or a sweep
     cell's ``(alpha, beta)``, whose failures hold ``alpha`` and ``beta``
     instead.  Weights LossParams rejects (alpha = beta = 0) and diverged
-    runs are failures.  ``fit(data, q, tc)`` returns ``(model, report)``.
+    runs are failures; each prints one ``FAILED`` line to stderr, and a
+    count of the failed runs follows the last.  ``fit(data, q, tc)``
+    returns ``(model, report)``.
     ``columns`` names the metrics.csv columns a row fills past the accuracy,
     read from the report's ``diagonal_mass``, ``mean_mass`` and ``extras``;
     the summary is taken over the accuracy and these.  Returns the rows, the
@@ -471,12 +410,14 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
                 loss_params = None if weights is None else LossParams(*weights)
             except ValueError as exc:
                 failures.append({**name, "seed": seed, "error": str(exc)})
+                print(f"[{experiment}] seed={seed} method={method} FAILED: {exc}", file=sys.stderr)
                 continue
             start = time.perf_counter()
             try:
                 model, report = fit(data, q, TrainConfig(seed=seed, loss_params=loss_params, **cfg["train"]))
             except TrainingDivergedError as exc:
                 failures.append({**name, "seed": seed, "error": str(exc)})
+                print(f"[{experiment}] seed={seed} method={method} FAILED: {exc}", file=sys.stderr)
                 continue
             print(
                 f"[{experiment}] seed={seed} method={method} "
@@ -494,6 +435,8 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
             if seed == cfg["seeds"][0]:
                 first_models[method] = model
 
+    if failures:
+        print(f"{len(failures)} of {len(cfg['seeds']) * len(methods)} runs failed", file=sys.stderr)
     summary = {}
     for method in methods:
         done = [row for row in rows if row["method"] == method]

@@ -38,7 +38,8 @@ and the pool itself is ``m + log1p(expm1(-m) + e^(a-m) + e^(b-m))`` with
 keeps full relative accuracy for losses far below machine epsilon.  The
 analytic gradient (:func:`batch_loss_and_grad`) reuses the same exponential
 array, scaled by one coefficient per row and cell; each coefficient is the
-exp of a quantity that is <= 0 by construction.
+exp of a quantity that is <= 0 in exact arithmetic and clamped at 0, since
+rounding at logits past about 1e19 can leave it far above 0.
 
 Conventions for empty/disabled terms: a zero weight or an empty index set
 makes the corresponding pooled term -inf, i.e. it simply drops out of the
@@ -223,11 +224,13 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
 
     # With total = e^loss: d(e^a)/dz_c = alpha e^(z_c - z_t) off the target,
     # and d(e^b)/dz_c = beta e^(z_c - lse_s) on N but -e^(b + z_c - lse_s) on
-    # S.  Both are divided by total, so every exponent below is <= 0.
+    # S.  Both are divided by total, so every exponent below is <= 0 in exact
+    # arithmetic; past |z| ~ 1e19 rounding can push one far above 0, so each
+    # is clamped at 0 before its exp
     log_a = log_alpha - z_t - losses
     log_b = term_b - losses - lse_s
-    coef_p = np.exp(log_a + max_p) - np.exp(log_b + max_p)
-    coef_n = np.exp(log_a + max_n) + np.exp(log_beta - lse_s - losses + max_n)
+    coef_p = np.exp(np.minimum(log_a + max_p, 0.0)) - np.exp(np.minimum(log_b + max_p, 0.0))
+    coef_n = np.exp(np.minimum(log_a + max_n, 0.0)) + np.exp(np.minimum(log_beta - lse_s - losses + max_n, 0.0))
     # the gradient is built in e; each entry takes its own cell's coefficient
     # (coef_p + mask * (coef_n - coef_p) would round coef_n away when it is
     # far below coef_p)

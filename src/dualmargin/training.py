@@ -108,11 +108,11 @@ class ExperimentReport:
 
     The record a run's ``report.json`` entry is written from, as its
     ``vars``.  ``confusion_matrix`` holds the counts as
-    :class:`ConfusionCounts`, written as the dense (C, C) rows, and
-    ``diagonal_mass`` is its :func:`diagonal_mass`.  ``mean_mass`` holds the
-    average probability allocated to the exact label, its plausible set,
-    and the complement (only when a plausibility matrix was supplied at
-    evaluation time).
+    :class:`ConfusionCounts`, written as its ``class_count``, ``cells`` and
+    ``counts``, and ``diagonal_mass`` is its :func:`diagonal_mass`.
+    ``mean_mass`` holds the average probability allocated to the exact
+    label, its plausible set, and the complement (only when a plausibility
+    matrix was supplied at evaluation time).
     """
 
     train_curve: list[float]

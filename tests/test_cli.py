@@ -558,6 +558,41 @@ class TestExperimentCommands:
         assert (out_dir / "metrics.csv").read_text().count("\n") == 1  # the header alone
         assert (out_dir / "heatmap.txt").read_text() == "nan nan\nnan nan\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command,doc,total",
+        [
+            # the (0, 0) cell fails at each seed, the other runs complete
+            (
+                "sweep",
+                {"seeds": [0, 1], "dataset": {"n_per_class": 20, "n_test_per_class": 20}, "train": {"epochs": 1},
+                 "sweep": {"alpha_values": [0.0, 1.0], "beta_values": [0.0]}},
+                6,
+            ),
+            # every run diverges
+            (
+                "noise-recovery",
+                {"seeds": [0], "dataset": {"n_per_class": 20, "n_test_per_class": 20},
+                 "train": {"epochs": 2, "learning_rate": 1e308}},
+                2,
+            ),
+        ],
+    )
+    def test_each_failed_run_prints_a_line_then_the_count(self, tmp_path, capsys, command, doc, total):
+        cfg = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli([command, "--config", cfg, "--out", out_dir], capsys)
+        assert code == 0
+        failures = json.loads((out_dir / "report.json").read_text())["failures"]
+        assert failures
+        family = command.replace("-", "_")
+        assert err.splitlines() == [
+            f"[{family}] seed={f['seed']} method={name} FAILED: {f['error']}"
+            for f in failures
+            for name in [f.get("method", (f.get("alpha"), f.get("beta")))]
+        ] + [f"{len(failures)} of {total} runs failed"]
+        assert len(out.splitlines()) == total - len(failures)  # one line per completed run
+
     def test_value_error_of_a_run_exits_2(self, tmp_path, capsys, monkeypatch):
         def failing_train(*args, **kwargs):
             raise ValueError("dataset is empty")
@@ -576,7 +611,8 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "command,dataset,lr",
         [
-            ("noise-recovery", {"n_per_class": 20, "n_test_per_class": 20}, 1e300),
+            # at 1e300 both runs complete: their gradients stay finite
+            ("noise-recovery", {"n_per_class": 20, "n_test_per_class": 20}, 1e308),
             # a saturated linear MIL model keeps its weights finite at 1e300
             ("mil-toy", {"n_bags": 8, "bag_size": 10}, 1e308),
         ],
@@ -631,8 +667,13 @@ _COUNT_MATRICES = st.builds(
 class TestReportWriter:
     @staticmethod
     def dumps(payload) -> bytes:
-        # counts are written as their dense rows; a payload without them is unaffected
-        text = json.dumps(payload, indent=2, sort_keys=True, default=lambda counts: dense_counts(counts).tolist())
+        # counts are written as their nonzero cells; a payload without them is unaffected
+        def nonzero_cells(counts):
+            dense = dense_counts(counts).ravel()
+            cells = np.flatnonzero(dense)
+            return {"class_count": counts.class_count, "cells": cells.tolist(), "counts": dense[cells].tolist()}
+
+        text = json.dumps(payload, indent=2, sort_keys=True, default=nonzero_cells)
         return (text + "\n").encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
@@ -654,7 +695,7 @@ class TestReportWriter:
     )
     @example({"a": counts_from_dense(np.zeros((3, 3), dtype=int)), "b": counts_from_dense([[0]])})
     @example({"a": [counts_from_dense([[2**63 - 1]]), counts_from_dense([[0, 1], [7, 0]])]})
-    def test_confusion_counts_equal_json_dumps_of_their_dense_rows(self, tmp_path_factory, payload):
+    def test_confusion_counts_are_written_as_their_nonzero_cells(self, tmp_path_factory, payload):
         path = tmp_path_factory.getbasetemp() / "arrays.json"
         experiments._write_json(path, payload)
         assert path.read_bytes() == self.dumps(payload)
@@ -679,13 +720,6 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             experiments._write_json(tmp_path / "x.json", payload)
 
-    @pytest.mark.parametrize("text", [experiments._MARK, '"' + experiments._MARK], ids=["marker", "quote-marker"])
-    def test_payload_string_holding_the_marker_raises_and_writes_nothing(self, tmp_path, text):
-        payload = {"a": counts_from_dense(np.eye(2, dtype=int)), "b": [text]}
-        with pytest.raises(ValueError, match="marker"):
-            experiments._write_json(tmp_path / "x.json", payload)
-        assert list(tmp_path.iterdir()) == []
-
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "report.json"
         experiments._write_json(path, {"ok": 1})
@@ -696,47 +730,49 @@ class TestReportWriter:
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_interrupted_write_leaves_no_file(self, tmp_path):
-        def interrupted():
-            yield "partial"
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def interrupted(src, dst):
             raise KeyboardInterrupt
 
+        # the whole text is in the temp file when the rename is interrupted
+        monkeypatch.setattr(experiments.os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            experiments.atomic_write_text(tmp_path / "x.txt", interrupted())
+            experiments.atomic_write_text(tmp_path / "x.txt", "partial")
         assert list(tmp_path.iterdir()) == []
 
-    def test_peak_memory_is_independent_of_the_text_size(self, tmp_path):
-        # about 11 MB of text from the counts of a C = 1000 confusion matrix
-        matrix = np.fromfunction(lambda i, j: (i * j) % 1000, (1000, 1000), dtype=np.int64)
-        payload = {"confusion_matrix": counts_from_dense(matrix)}
-        tracemalloc.start()
-        try:
-            experiments._write_json(tmp_path / "report.json", payload)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (tmp_path / "report.json").stat().st_size > 10 << 20
-        assert peak <= 1 << 20
-
     def test_real_reports_equal_json_dumps(self, tmp_path, capsys, monkeypatch):
-        written = []
-        real_write_json = experiments._write_json
+        """Every family's report.json and manifest.json at its CI-tiny config
+        is the json.dumps text, and each run's counts densify to those its
+        evaluation returned."""
+        written, evaluated = [], []
+        real_write_json, real_evaluate = experiments._write_json, training.evaluate
 
         def recording_write_json(path, payload):
             real_write_json(path, payload)
             written.append((Path(path), payload))
 
+        def recording_evaluate(*args, **kwargs):
+            report = real_evaluate(*args, **kwargs)
+            evaluated.append(report.confusion_matrix)
+            return report
+
         monkeypatch.setattr(experiments, "_write_json", recording_write_json)
+        monkeypatch.setattr(training, "evaluate", recording_evaluate)
         tiny = {
-            "toy2d": TINY_TOY2D,
-            "mil-toy": {"seeds": [0], "dataset": {"n_bags": 8, "bag_size": 10}, "train": {"epochs": 3}},
+            "toy2d": {
+                "seeds": [0],
+                "dataset": {"n_per_class": 30, "n_test_per_class": 30},
+                "train": {"epochs": 3},
+                "grid_resolution": 7,
+            },
             "noise-recovery": {
                 "seeds": [0, 1],
-                "dataset": {"n_per_class": 20, "n_test_per_class": 20},
-                "train": {"epochs": 2},
+                "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2},
+                "train": {"epochs": 1},
             },
+            "mil-toy": {"seeds": [0], "dataset": {"n_bags": 8, "bag_size": 10}, "train": {"epochs": 3}},
             "sweep": {
-                "seeds": [0],
+                "seeds": [0, 1],
                 "dataset": {"n_per_class": 20, "n_test_per_class": 20},
                 "train": {"epochs": 1},
                 "sweep": {"alpha_values": [0.0, 1.0], "beta_values": [0.0]},  # a null grid cell
@@ -747,14 +783,30 @@ class TestReportWriter:
             code, _, _ = run_cli([command, "--config", cfg, "--out", tmp_path / command], capsys)
             assert code == 0
         assert len(written) == 2 * len(tiny)  # report.json and manifest.json per family
+        runs = 0
         for path, payload in written:
             assert path.read_bytes() == self.dumps(payload), path
+            if path.name != "report.json":
+                continue
+            report = json.loads(path.read_text())
+            for method, by_seed in payload.get("runs", {}).items():
+                for seed, run in by_seed.items():
+                    counts = run["confusion_matrix"]
+                    assert any(counts is returned for returned in evaluated)
+                    cell_form = report["runs"][method][seed]["confusion_matrix"]
+                    assert set(cell_form) == {"class_count", "cells", "counts"}
+                    written_counts = training.ConfusionCounts(
+                        cell_form["class_count"], np.array(cell_form["cells"]), np.array(cell_form["counts"])
+                    )
+                    np.testing.assert_array_equal(dense_counts(written_counts), dense_counts(counts))
+                    runs += 1
+        assert runs == 2 + 4 + 2  # toy2d, noise-recovery and mil-toy; the sweep keeps no run
 
 
 def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
     """At C = 1000 a run's one C x C array is Q (1 MB): the transition matrix
-    holds each row's nonzeros, and the confusion matrix is kept as its
-    nonzero cells and written row by row, never as a list of Python ints."""
+    holds each row's nonzeros, and the confusion matrix is kept and written
+    as its nonzero cells, never as a list of Python ints."""
     cfg = experiments.merge_config(
         experiments.default_config("noise_recovery"),
         {
@@ -772,7 +824,12 @@ def test_wide_noise_recovery_holds_no_c_by_c_object_graph(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(report["runs"]["dual_margin"]["0"]["confusion_matrix"]) == 1000
+    confusion = report["runs"]["dual_margin"]["0"]["confusion_matrix"]
+    assert set(confusion) == {"class_count", "cells", "counts"}
+    assert confusion["class_count"] == 1000
+    # 2000 test samples fill at most 2000 of the 10**6 cells
+    assert len(confusion["cells"]) == len(confusion["counts"]) <= 2000
+    assert sum(confusion["counts"]) == 2000
     assert peak <= 20 << 20
 
 

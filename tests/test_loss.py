@@ -322,9 +322,12 @@ class TestBatch:
         p = softmax(Z, axis=1)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_huge_logits_raise_no_floating_point_error(self):
+    # past 1e19 the gradient's coefficient exponents, <= 0 in exact arithmetic,
+    # round far above 0 unless clamped
+    @pytest.mark.parametrize("scale", [1e4, 1e19, 1e100, 1e300])
+    def test_huge_logits_raise_no_floating_point_error(self, scale):
         rng = np.random.default_rng(13)
-        Z = rng.normal(0.0, 1e4, size=(16, 7))
+        Z = rng.normal(0.0, scale, size=(16, 7))
         targets = rng.integers(0, 7, size=16)
         qs = [rng.random((7, 7)) < 0.4, np.eye(7, dtype=bool), np.ones((7, 7), dtype=bool)]
         # exp far below a cell's max rounds to 0 as IEEE requires, so only
