@@ -23,12 +23,13 @@ __all__ = [
     "make_mil_bags",
 ]
 
-# defaults used by the toy experiments; chosen so that label ambiguity is
-# present but structured (ring) and so that a clean linear probe sits near
-# the mid-90s in accuracy (mixture), leaving room for noise-robustness
-# differences to show.
+# the generators' defaults, which the experiment families' default configs
+# read too; chosen so that label ambiguity is present but structured (ring)
+# and so that a clean linear probe sits near the mid-90s in accuracy
+# (mixture), leaving room for noise-robustness differences to show.
 RING_DEFAULTS = {"class_count": 8, "n_per_class": 200, "angular_noise_std": 0.15}
-MIXTURE_DEFAULTS = {"dim": 16, "class_separation": 4.0}
+MIXTURE_DEFAULTS = {"dim": 16, "n_per_class": 500, "class_separation": 4.0}
+MIL_DEFAULTS = {"dim": 2, "separation": 3.0}
 
 
 @dataclass
@@ -167,7 +168,7 @@ def _mixture_means(class_count: int, dim: int, class_separation: float, means_se
 def make_gaussian_mixture(
     class_count: int,
     dim: int = MIXTURE_DEFAULTS["dim"],
-    n_per_class: int = 500,
+    n_per_class: int = MIXTURE_DEFAULTS["n_per_class"],
     class_separation: float = MIXTURE_DEFAULTS["class_separation"],
     seed: int = 0,
     means_seed: int | None = None,
@@ -199,9 +200,9 @@ def make_mil_bags(
     n_bags: int,
     bag_size: int,
     positive_instance_rate: float,
-    dim: int = 2,
+    dim: int = MIL_DEFAULTS["dim"],
     seed: int = 0,
-    separation: float = 3.0,
+    separation: float = MIL_DEFAULTS["separation"],
 ) -> BagDataset:
     """Synthetic MIL bags from two separated Gaussian instance populations.
 

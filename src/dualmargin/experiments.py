@@ -47,13 +47,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import make_gaussian_mixture, make_mil_bags, make_ring
+from .datasets import MIL_DEFAULTS, MIXTURE_DEFAULTS, RING_DEFAULTS, make_gaussian_mixture, make_mil_bags, make_ring
 from .loss import LossParams
-from .noise import TOPOLOGIES, NoiseSpec, build_transition, check_layout, corrupt_labels
+from .noise import NoiseSpec, build_transition, check_layout, corrupt_labels
 from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
-    ARCHITECTURES,
-    SCHEDULES,
     ConfusionCounts,
     TrainConfig,
     TrainingDivergedError,
@@ -105,7 +103,7 @@ _BASE_TRAIN = {
 
 # the noisy Gaussian mixture of noise_recovery and sweep
 _MIXTURE = {
-    "dataset": {"class_count": 10, "dim": 16, "n_per_class": 500, "n_test_per_class": 200, "class_separation": 4.0},
+    "dataset": {"class_count": 10, **MIXTURE_DEFAULTS, "n_test_per_class": 200},
     "noise": {"topology": "column", "eta": 0.6},
 }
 
@@ -114,12 +112,7 @@ _DEFAULTS: dict[str, dict] = {
         "experiment": "toy2d",
         "seeds": [0, 1, 2, 3, 4],
         "output_dir": "out_toy2d",
-        "dataset": {
-            "class_count": 8,
-            "n_per_class": 200,
-            "n_test_per_class": 500,
-            "angular_noise_std": 0.15,
-        },
+        "dataset": {**RING_DEFAULTS, "n_test_per_class": 500},
         "window": 1,
         "grid_resolution": 60,
         "loss": {"alpha": 0.1, "beta": 10.0},
@@ -137,13 +130,7 @@ _DEFAULTS: dict[str, dict] = {
         "experiment": "mil_toy",
         "seeds": [0, 1, 2, 3, 4],
         "output_dir": "out_mil",
-        "dataset": {
-            "n_bags": 60,
-            "bag_size": 50,
-            "positive_instance_rate": 0.2,
-            "dim": 2,
-            "separation": 3.0,
-        },
+        "dataset": {"n_bags": 60, "bag_size": 50, "positive_instance_rate": 0.2, **MIL_DEFAULTS},
         "loss": {"alpha": 1.0, "beta": 1.0},
         "train": dict(_BASE_TRAIN, epochs=80),
     },
@@ -202,11 +189,13 @@ def validate_config(cfg: dict) -> dict:
     list is nonempty, repeats no item, and holds items of the kind of its
     default's first (a tuple default also fixes the length); a str is set;
     a number is finite and of its default's type (an int is also a float,
-    a bool is no number).  Each value lies in its ``_BOUNDS`` row, an
-    interval or a str's choices; a number with no row follows the rule: an
-    int is in [1, 2**63), a float at least 0.  The rules that tie keys
-    together follow the walk; the noise layout's are
-    :func:`~dualmargin.noise.check_layout`'s.  Each error names its key.
+    a bool is no number).  A number lies in its ``_BOUNDS`` row, or else
+    follows the rule: an int is in [1, 2**63), a float at least 0.  The
+    rules that tie keys together follow the walk.  The rest of a section's
+    value rules belong to its type: the ``train`` section is a
+    :class:`~dualmargin.training.TrainConfig`'s, and the ``noise`` section a
+    :class:`~dualmargin.noise.NoiseSpec`'s, its layout checked by
+    :func:`~dualmargin.noise.check_layout`.  Each error names its key.
     """
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -219,6 +208,10 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError(f"window must be smaller than dataset.class_count {C}, got {cfg['window']}")
     if "loss" in cfg and cfg["loss"]["alpha"] == cfg["loss"]["beta"] == 0:
         raise ValueError("loss.alpha and loss.beta must not both be 0")
+    try:
+        TrainConfig(seed=0, **cfg["train"])
+    except ValueError as exc:
+        raise ValueError(f"train.{exc}") from None
     if noise is None:
         return cfg
     if noise["topology"] == "column" and C < 2:
@@ -230,23 +223,17 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-# where a value's bounds differ from the rule (an int is in [1, 2**63), a
-# float in [0, inf)): an interval, or the choices of a str.  2**63, the first
-# int an int64 cannot hold, is a float that compares exactly with any int
+# the intervals of the numbers no allocation-free owner checks, where they
+# differ from the rule (an int is in [1, 2**63), a float in [0, inf)); a
+# section's other value rules belong to its type.  2**63, the first int an
+# int64 cannot hold, is a float that compares exactly with any int
 _BOUNDS = {
     "seeds": "[0, inf)",
     "window": "[0, inf)",
     "dataset.n_bags": "[2, 9223372036854775808)",
     "dataset.positive_instance_rate": "(0, 1]",
-    "noise.topology": TOPOLOGIES,
-    "noise.eta": "[0, 1]",
     "noise.sinks": "[0, inf)",
     "noise.pairs": "[0, inf)",
-    "noise.group_size": "[2, inf)",
-    "train.learning_rate": "(0, inf)",
-    "train.momentum": "[0, 1)",
-    "train.lr_schedule": SCHEDULES,
-    "train.architecture": ARCHITECTURES,
 }
 
 # the noise section's optional layout keys, each with a value of its kind
@@ -280,17 +267,14 @@ def _check(where: str, value, default) -> None:
             if item in value[:i]:
                 raise ValueError(f"{where} must not repeat a value, got {value!r}")
         return
-    bound = _BOUNDS.get(where.partition("[")[0])
     if isinstance(value, str):
-        if bound is not None and value not in bound:
-            raise ValueError(f"{where} must be one of {bound}, got {value!r}")
         if not value:
             raise ValueError(f"{where} must be set")
         return
     # a float key's value, an int too, converts to a finite float
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{where} must be finite, got {value!r}")
-    bound = bound or ("[1, 9223372036854775808)" if kind is int else "[0, inf)")
+    bound = _BOUNDS.get(where.partition("[")[0]) or ("[1, 9223372036854775808)" if kind is int else "[0, inf)")
     low, high = (float(end) for end in bound[1:-1].split(","))
     above = low < value if bound[0] == "(" else low <= value
     below = value < high if bound[-1] == ")" else value <= high
@@ -330,11 +314,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # repr of np.float64 is "np.float64(...)" under numpy 2
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_metrics_csv(out_dir: Path, rows: list[dict]) -> None:
@@ -464,10 +444,14 @@ def _transition(cfg: dict):
 
     Q is the run's one dense (C, C) array, so room for it is asked first:
     a class count too large for memory fails here at once, before T's
-    O(C) arrays are written.
+    O(C) arrays are written, and one too large for any numpy array fails
+    naming its key.
     """
     C = cfg["dataset"]["class_count"]
-    np.empty((C, C), dtype=bool)
+    try:
+        np.empty((C, C), dtype=bool)
+    except ValueError:
+        raise ValueError(f"dataset.class_count is too large for a (C, C) array, got {C}") from None
     return build_transition(NoiseSpec(**cfg["noise"]), C)
 
 

@@ -60,7 +60,8 @@ class TrainConfig:
 
     ``loss_params is None`` trains cross-entropy; otherwise the run trains
     the dual-margin loss at those weights.  Either loss is the batch mean,
-    so updates are batch-size stable.
+    so updates are batch-size stable.  A bad value raises ValueError, its
+    message starting with the field.
     """
 
     learning_rate: float
@@ -75,13 +76,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+            raise ValueError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be in [1, inf), got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be in [1, inf), got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
+            raise ValueError(f"hidden_units must be in [1, inf), got {self.hidden_units}")
         if self.lr_schedule not in SCHEDULES:
             raise ValueError(f"lr_schedule must be one of {SCHEDULES}, got {self.lr_schedule!r}")
         if self.architecture not in ARCHITECTURES:

@@ -472,6 +472,48 @@ class TestExperimentCommands:
         cfg["dataset"]["class_count"] = 2**63 - 1
         experiments.validate_config(cfg)
 
+    @pytest.mark.parametrize("command", ["noise-recovery", "sweep"])
+    def test_class_count_too_large_for_numpy_names_its_key(self, tmp_path, capsys, command):
+        # above 3037000499 classes numpy refuses the shape of Q's (C, C) array before allocating
+        cfg = write_config(tmp_path, {"dataset": {"class_count": 10**12}})
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == "" and err == "error: dataset.class_count is too large for a (C, C) array, got 1000000000000\n"
+        assert not (tmp_path / "o").exists()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            ({"train": {"learning_rate": 0}}, "train.learning_rate must be in (0, inf), got 0"),
+            ({"train": {"momentum": 1.0}}, "train.momentum must be in [0, 1), got 1.0"),
+            ({"train": {"lr_schedule": "step"}}, "train.lr_schedule must be one of ('constant', 'cosine'), got 'step'"),
+            ({"train": {"architecture": "cnn"}}, "train.architecture must be one of ('linear', 'mlp1'), got 'cnn'"),
+            (
+                {"noise": {"topology": "ring"}},
+                "noise.topology must be one of ('column', 'asymmetric_pairs', 'cyclic_superclass', 'block_superclass'), got 'ring'",
+            ),
+            ({"noise": {"eta": 1.5}}, "noise.eta must be in [0, 1], got 1.5"),
+            # a negative number fails the rule for floats before its owner's bound
+            ({"train": {"learning_rate": -1}}, "train.learning_rate must be in [0, inf), got -1"),
+            (
+                {"noise": {"topology": "block_superclass", "group_size": 1}},
+                "noise.group_size must be set, >= 2 and divide class_count 10, got 1",
+            ),
+        ],
+    )
+    def test_a_rule_owned_by_the_section_type_prints_its_line(self, tmp_path, capsys, doc, line):
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(["noise-recovery", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert out == "" and err == f"error: {line}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys):
         # numpy fails the room asked for Q's C x C array at once, before T is built
         cfg = write_config(tmp_path, {"dataset": {"class_count": 10**9}})
@@ -973,3 +1015,19 @@ def test_every_artifact_digest_config_is_valid(tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(tool.cli_argv(tmp_path, *run), capsys)
         assert code == 0, (run[0], err)
     assert len(validated) == len(runs)
+
+
+def test_every_reachability_bad_input_exits_2_naming_its_key(tmp_path, monkeypatch, capsys):
+    """Each ``BAD_INPUTS`` row of ``tools/reachability.py`` exits 2 naming
+    its key, and writes nothing."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+    spec = importlib.util.spec_from_file_location("reachability", tools / "reachability.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for i, (family, doc, key) in enumerate(tool.BAD_INPUTS):
+        argv = tool.cli_argv(tmp_path, f"bad-{i}", family, doc, [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, (family, doc, err)
+        assert out == "" and key in err, (family, doc, err)
+        assert not (tmp_path / f"bad-{i}").exists()

@@ -456,6 +456,23 @@ class TestMilTraining:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("learning_rate", 0.0),
+            ("epochs", 0),
+            ("batch_size", 0),
+            ("momentum", 1.0),
+            ("hidden_units", 0),
+            ("lr_schedule", "step"),
+            ("architecture", "cnn"),
+        ],
+    )
+    def test_each_message_starts_with_the_field_it_rejects(self, field, value):
+        kwargs = {"learning_rate": 0.1, "epochs": 1, "batch_size": 1, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value!r}$"):
+            TrainConfig(**kwargs)
+
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0, epochs=1, batch_size=1, seed=0)
