@@ -224,16 +224,16 @@ def corrupt_labels(clean, transition: TransitionMatrix, seed: int) -> np.ndarray
         raise ValueError(f"labels out of range [0, {C})")
     rng = np.random.default_rng(seed)
     u = rng.random(clean.size)
-    out = np.empty_like(clean)
-    # one CDF over a row's nonzeros and one searchsorted per clean class, over
-    # that class's positions; the dense row's CDF only adds +0.0 between them
-    starts, columns, probs = transition.starts, transition.columns, transition.probs
-    order = np.argsort(clean, kind="stable")
-    bounds = np.searchsorted(clean[order], np.arange(C + 1))
-    for c in np.flatnonzero(np.diff(bounds)):
-        group = order[bounds[c] : bounds[c + 1]]
-        lo, hi = starts[c], starts[c + 1]
-        drawn = np.searchsorted(np.cumsum(probs[lo:hi]), u[group], side="right")
-        # a draw past a row's total takes the row's last nonzero class
-        out[group] = columns[lo:hi][np.minimum(drawn, hi - lo - 1)]
-    return out
+    # each row's CDF over its nonzeros, in the dense row's order, padded with its total
+    starts, columns = transition.starts, transition.columns
+    counts = np.diff(starts)
+    width = int(counts.max())
+    cdf = np.zeros((C, width))
+    cdf[np.arange(width) < counts[:, None]] = transition.probs
+    cdf = np.cumsum(cdf, axis=1, out=cdf).ravel()
+    # binary search: the row's entries <= u, as searchsorted(side="right"), clamped to its nonzeros
+    first = clean * width
+    pos, last = first.copy(), first + (width - 1)
+    for step in [1 << bit for bit in reversed(range(width.bit_length()))]:
+        pos += step * (cdf[np.minimum(pos + step - 1, last)] <= u)
+    return columns[starts[clean] + np.minimum(pos - first, counts[clean] - 1)]

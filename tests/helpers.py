@@ -1,4 +1,4 @@
-"""Dense (C, C) views of the library's sparse matrices, for tests that read whole matrices."""
+"""Dense (C, C) views of the library's sparse matrices, and the loop forms the library's vector forms must equal."""
 
 import numpy as np
 
@@ -32,3 +32,37 @@ def counts_from_dense(matrix) -> ConfusionCounts:
     matrix = np.asarray(matrix)
     cells = np.flatnonzero(matrix)
     return ConfusionCounts(matrix.shape[0], cells, matrix.ravel()[cells])
+
+
+def blocked_min_distance(means: np.ndarray, block_bytes: int) -> np.float64:
+    """The smallest distance between two distinct rows, every row block of the difference tensor computed.
+
+    Blocks of at most ``block_bytes`` of the (rows, C, dim) tensor, each
+    reduced as ``np.linalg.norm`` reduces over its last axis.
+    """
+    count, dim = means.shape
+    rows = max(1, block_bytes // (count * dim * means.itemsize))
+    best = np.inf
+    for lo in range(0, count - 1, rows):
+        block = means[lo : lo + rows, None, :] - means[None, lo + 1 :, :]
+        block *= block
+        sq = np.add.reduce(block, axis=2)
+        sq[np.tril_indices(sq.shape[0], -1, sq.shape[1])] = np.inf
+        best = min(best, sq.min())
+    return np.sqrt(best)
+
+
+def per_class_corrupt_labels(clean, transition: TransitionMatrix, u: np.ndarray) -> np.ndarray:
+    """Each label drawn from its T row at ``u``, by one searchsorted per clean class over its positions."""
+    clean = np.asarray(clean, dtype=int)
+    out = np.empty_like(clean)
+    starts, columns, probs = transition.starts, transition.columns, transition.probs
+    order = np.argsort(clean, kind="stable")
+    bounds = np.searchsorted(clean[order], np.arange(transition.class_count + 1))
+    for c in np.flatnonzero(np.diff(bounds)):
+        group = order[bounds[c] : bounds[c + 1]]
+        lo, hi = starts[c], starts[c + 1]
+        drawn = np.searchsorted(np.cumsum(probs[lo:hi]), u[group], side="right")
+        # a draw past a row's total takes the row's last nonzero class
+        out[group] = columns[lo:hi][np.minimum(drawn, hi - lo - 1)]
+    return out

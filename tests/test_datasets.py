@@ -1,6 +1,7 @@
 """Tests for the synthetic dataset generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dualmargin import (
     make_ring,
     train,
 )
+from helpers import blocked_min_distance
 
 
 def ring_sector(theta, class_count):
@@ -152,6 +154,81 @@ class TestMixtureMeansCache:
         means = datasets._mixture_means(12, 3, 4.0, 0)
         with pytest.raises(ValueError):
             means[0, 0] = 1.0
+
+
+class TestScreenedMinDistance:
+    """``_min_pairwise_distance`` returns the bits of every block computed (helpers.blocked_min_distance)."""
+
+    @pytest.mark.parametrize(
+        "C,d",
+        [
+            (2, 2),  # C <= d: QR directions, held in Fortran order
+            (7, 9),
+            (16, 16),  # C == d: every distance ties at sqrt(2)
+            (24, 24),
+            (10, 64),  # Fortran order at dim >= 64
+            (48, 64),
+            (64, 64),
+            (30, 100),
+            (45, 3),  # C > d: normalised draws, in C order
+            (29, 4),  # the last row falls in no Gram block of the screen
+            (120, 2),
+            (200, 16),
+            (300, 8),
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    def test_mixture_means_keep_the_blocked_bits(self, monkeypatch, C, d, block_rows):
+        if block_rows is not None:  # exact blocks of that many rows; the last one may be short
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_rows * C * d * 8)
+        real, seen = datasets._min_pairwise_distance, []
+
+        def checked(means):
+            got = real(means)
+            assert means.flags.f_contiguous == (C <= d)
+            assert got.tobytes() == blocked_min_distance(means, datasets._BLOCK_BYTES).tobytes()
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(datasets, "_min_pairwise_distance", checked)
+        for seed in range(20):
+            datasets._mixture_means.__wrapped__(C, d, 4.0, seed)
+        assert len(seen) == 20
+        if C == d:
+            assert all(abs(got - math.sqrt(2)) < 1e-14 for got in seen)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("nudged", ["closest pair copied", "row copied"])
+    def test_a_pair_one_ulp_off_keeps_the_blocked_bits(self, monkeypatch, order, block_rows, nudged):
+        C, d = 60, 5
+        monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_rows * C * d * 8)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = rng.normal(size=(C - 2, d))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            dists = np.linalg.norm(rows[:, None] - rows[None], axis=2) + np.diag(np.full(C - 2, np.inf))
+            i, j = np.unravel_index(np.argmin(dists), dists.shape)
+            # the last two rows repeat the closest pair, or the closest pair's first row
+            # twice, with one coordinate of the second copy one ulp up or down
+            extra = rows[[i, j if nudged == "closest pair copied" else i]]
+            k = seed % d
+            extra[1, k] = np.nextafter(extra[1, k], np.inf if seed % 2 else -np.inf)
+            means = np.asarray(np.concatenate([rows, extra]), order=order)
+            expected = blocked_min_distance(means, datasets._BLOCK_BYTES)
+            assert datasets._min_pairwise_distance(means).tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_within_three_mb(self):
+        means = np.random.default_rng(0).normal(size=(3000, 16))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            got = datasets._min_pairwise_distance(means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == blocked_min_distance(means, datasets._BLOCK_BYTES).tobytes()
+        assert peak <= 3 * 2**20
 
 
 class TestMilBags:

@@ -1,12 +1,14 @@
 """Tests for transition-matrix construction and label corruption."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from dualmargin import NoiseSpec, TransitionMatrix, build_transition, corrupt_labels, q_from_transition
 from dualmargin.noise import default_column_sinks
-from helpers import dense_transition, transition_from_dense
+from helpers import dense_transition, per_class_corrupt_labels, transition_from_dense
 
 
 class TestColumn:
@@ -366,3 +368,48 @@ class TestCorruption:
         t = build_transition(NoiseSpec("column", 0.6), 10)
         with pytest.raises(ValueError):
             corrupt_labels([10], t, seed=0)
+
+
+class TestCorruptionEqualsPerClassLoop:
+    """``corrupt_labels`` draws the labels of the per-class searchsorted loop (helpers.per_class_corrupt_labels)."""
+
+    @pytest.mark.parametrize("C", [10, 1000])
+    def test_every_topology_and_rate(self, monkeypatch, C):
+        labels = np.random.default_rng(C).integers(0, C, size=4 * C)
+        labels[labels % 3 == 1] -= 1  # a third of the classes have no labels
+        specs = 0
+        for topology, layout in layouts(C):
+            for eta in (0.0, 0.2, 0.6, 1.0):
+                t = build_transition(NoiseSpec(topology, eta, **layout), C)
+                u = np.random.default_rng(specs).random(labels.size)
+                np.testing.assert_array_equal(corrupt_labels(labels, t, seed=specs), per_class_corrupt_labels(labels, t, u))
+                # draws exactly at a CDF entry of the label's row, at its total, one ulp below it, and 0
+                cdfs = [np.cumsum(t.probs[lo:hi]) for lo, hi in zip(t.starts[:-1], t.starts[1:])]
+                at_entry = np.array([cdfs[c][i % cdfs[c].size] for i, c in enumerate(labels)])
+                total = np.array([cdfs[c][-1] for c in labels])
+                edges = np.choose(np.arange(labels.size) % 4, [at_entry, total, np.nextafter(total, 0.0), 0.0 * u])
+
+                class FixedDraws:
+                    def random(self, size):
+                        assert size == edges.size
+                        return edges.copy()
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.random, "default_rng", lambda seed: FixedDraws())
+                    out = corrupt_labels(labels, t, seed=0)
+                np.testing.assert_array_equal(out, per_class_corrupt_labels(labels, t, edges))
+                specs += 1
+        assert specs >= 4 * 8
+
+    def test_peak_memory_holds_no_labels_by_row_array(self):
+        # the padded CDF has as many entries as T has nonzeros; an (n, k) gather of it would take 80 MB
+        t = build_transition(NoiseSpec("block_superclass", 0.6, group_size=500), 1000)
+        labels = np.random.default_rng(0).integers(0, 1000, size=20_000)
+        tracemalloc.start()
+        try:
+            out = corrupt_labels(labels, t, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, per_class_corrupt_labels(labels, t, np.random.default_rng(1).random(labels.size)))
+        assert peak <= t.probs.nbytes + 2 * 2**20

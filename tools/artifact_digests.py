@@ -21,9 +21,12 @@ on each tree, emptying ROOT in between, and ``diff`` the two listings:
 Progress lines of the runs go to stderr.  The list covers every family
 at its default and at a tiny config, the benchmark's workloads, both
 architectures and schedules, every noise topology at C = 10 and at
-C = 1000, a sweep at C = 1000, the CLI's seed and weight flags, and
-diverging runs whose ``failures`` text is an artifact.  A whole run
-takes about a minute on a 2-core host, most of it the default sweep.
+C = 1000 (block superclass noise there with groups of 8 and of 100), a
+sweep at C = 1000, mixtures whose class count equals their dimension
+(every distance between class means ties) and of dimension 64 (means in
+Fortran order), the CLI's seed and weight flags, and diverging runs
+whose ``failures`` text is an artifact.  A whole run takes about a
+minute on a 2-core host, most of it the default sweep.
 """
 
 from __future__ import annotations
@@ -74,11 +77,14 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-cyclic-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 5}), []),
         ("noise-block-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 5}), []),
         ("noise-column-sinks", "noise-recovery", _merged(_MIXTURE, noise={"sinks": [3, 5]}), []),
+        ("noise-class-count-equals-dim", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 16, "dim": 16}), []),
+        ("noise-dim-64", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 10, "dim": 64}), []),
         ("toy2d-flags", "toy2d", TINY["toy2d"], ["--seed", "3", "--alpha", "0.5", "--beta", "2.5"]),
         ("sweep-wide", "sweep", _merged(_WIDE, sweep={"alpha_values": [0.1, 1.0], "beta_values": [0.0, 1.0]}), []),
         ("noise-wide-asymmetric-pairs", "noise-recovery", _merged(_WIDE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[999, 0], [0, 1], [500, 499]]}), []),
         ("noise-wide-cyclic-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 10}), []),
         ("noise-wide-block-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 8}), []),
+        ("noise-wide-block-superclass-100", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 100}), []),
         ("sweep-diverging", "sweep", _merged(_DIVERGING, sweep={"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]}), []),
         ("noise-recovery-diverging", "noise-recovery", _DIVERGING, []),
     ]
