@@ -5,75 +5,17 @@ that rewards probability mass on the exact target and on a caller-defined
 plausible class set simultaneously, plus the supporting machinery:
 plausibility-matrix constructors, structured label-noise simulation,
 seeded synthetic datasets, a small deterministic trainer, and an
-experiment CLI.
+experiment CLI.  Each library module's ``__all__`` is the one list of its
+public names; the package re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .loss import (
-    LossBreakdown,
-    LossParams,
-    batch_loss,
-    batch_loss_and_grad,
-    loss_from_logits,
-    loss_from_probs,
-    sets_from_q,
-    softmax,
-)
-from .plausibility import (
-    q_from_transition,
-    q_mil,
-    q_ordinal,
-)
-from .noise import NoiseSpec, TransitionMatrix, build_transition, corrupt_labels
-from .datasets import (
-    BagDataset,
-    LabeledDataset,
-    make_gaussian_mixture,
-    make_mil_bags,
-    make_ring,
-)
-from .training import (
-    ConfusionCounts,
-    ExperimentReport,
-    ModelParams,
-    TrainConfig,
-    TrainingDivergedError,
-    diagonal_mass,
-    evaluate,
-    train,
-    train_mil_instances,
-)
+from . import loss, plausibility, noise, datasets, training
+from .loss import *  # noqa: F403
+from .plausibility import *  # noqa: F403
+from .noise import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .training import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "LossBreakdown",
-    "LossParams",
-    "batch_loss",
-    "batch_loss_and_grad",
-    "loss_from_logits",
-    "loss_from_probs",
-    "sets_from_q",
-    "softmax",
-    "q_from_transition",
-    "q_mil",
-    "q_ordinal",
-    "NoiseSpec",
-    "TransitionMatrix",
-    "build_transition",
-    "corrupt_labels",
-    "BagDataset",
-    "LabeledDataset",
-    "make_gaussian_mixture",
-    "make_mil_bags",
-    "make_ring",
-    "ConfusionCounts",
-    "ExperimentReport",
-    "ModelParams",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "diagonal_mass",
-    "evaluate",
-    "train",
-    "train_mil_instances",
-]
+__all__ = ["__version__", *loss.__all__, *plausibility.__all__, *noise.__all__, *datasets.__all__, *training.__all__]

@@ -105,7 +105,9 @@ def make_ring(
     The label is the sector of the *un-jittered* angle; the observed point
     is placed at the jittered angle, so with nonzero ``angular_noise_std``
     a fraction of points sits in a neighboring sector while keeping its
-    original label -- structured, adjacency-limited label ambiguity.
+    original label -- structured, adjacency-limited label ambiguity.  A
+    jitter that makes any angle non-finite raises ValueError before any
+    ``cos`` or ``sin``.
     """
     if class_count < 3:
         raise ValueError("ring needs at least 3 classes")
@@ -114,6 +116,8 @@ def make_ring(
     labels = np.repeat(np.arange(class_count), n_per_class)
     base = labels * width + rng.random(labels.size) * width
     theta = base + rng.normal(0.0, angular_noise_std, labels.size) if angular_noise_std > 0 else base
+    if not np.isfinite(theta).all():
+        raise ValueError(f"angular_noise_std is too large for finite angles, got {angular_noise_std}")
     features = np.column_stack([np.cos(theta), np.sin(theta)])
     return LabeledDataset(features=features, clean_labels=labels, class_count=class_count)
 

@@ -52,6 +52,7 @@ from .loss import LossParams
 from .noise import NoiseSpec, build_transition, check_layout, corrupt_labels
 from .plausibility import q_from_transition, q_mil, q_ordinal
 from .training import (
+    TRAIN_DEFAULTS,
     ConfusionCounts,
     TrainConfig,
     TrainingDivergedError,
@@ -72,8 +73,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = ("toy2d", "noise_recovery", "mil_toy", "sweep")
-
 METRIC_COLUMNS = [
     "experiment",
     "seed",
@@ -91,15 +90,7 @@ METRIC_COLUMNS = [
 # offset separating dataset-generation streams for train and test splits
 _TEST_SEED_OFFSET = 1_000_003
 
-_BASE_TRAIN = {
-    "learning_rate": 0.05,
-    "epochs": 100,
-    "batch_size": 128,
-    "momentum": 0.9,
-    "lr_schedule": "cosine",
-    "architecture": "linear",
-    "hidden_units": 64,
-}
+_BASE_TRAIN = {"learning_rate": 0.05, "epochs": 100, "batch_size": 128, **TRAIN_DEFAULTS, "lr_schedule": "cosine"}
 
 # the noisy Gaussian mixture of noise_recovery and sweep
 _MIXTURE = {
@@ -146,6 +137,8 @@ _DEFAULTS: dict[str, dict] = {
         "train": dict(_BASE_TRAIN),
     },
 }
+
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +470,13 @@ def run_toy2d(cfg: dict) -> dict:
     C = ds["class_count"]
 
     def ring_split(seed):
-        return (
-            make_ring(C, ds["n_per_class"], ds["angular_noise_std"], seed=seed),
-            make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
-        )
+        try:
+            return (
+                make_ring(C, ds["n_per_class"], ds["angular_noise_std"], seed=seed),
+                make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
+            )
+        except ValueError as exc:
+            raise ValueError(f"dataset.{exc}") from None
 
     q = q_ordinal(C, cfg["window"], boundary="wrap")
     rows, result, first_models = _run_methods(cfg, _ce_and_dm(cfg, q), ring_split, _fit_train, ("diagonal_mass",))

@@ -41,6 +41,10 @@ __all__ = [
 ARCHITECTURES = ("linear", "mlp1")
 SCHEDULES = ("constant", "cosine")
 
+# the defaults of TrainConfig's optional hyperparameters, which the
+# experiment families' train sections read too
+TRAIN_DEFAULTS = {"momentum": 0.9, "lr_schedule": "constant", "architecture": "linear", "hidden_units": 64}
+
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a run's logits, loss or weights, or its evaluation logits, are non-finite."""
@@ -68,11 +72,11 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-    momentum: float = 0.9
+    momentum: float = TRAIN_DEFAULTS["momentum"]
     loss_params: LossParams | None = None
-    lr_schedule: str = "constant"
-    architecture: str = "linear"
-    hidden_units: int = 64
+    lr_schedule: str = TRAIN_DEFAULTS["lr_schedule"]
+    architecture: str = TRAIN_DEFAULTS["architecture"]
+    hidden_units: int = TRAIN_DEFAULTS["hidden_units"]
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -326,8 +330,9 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
             masses[1, block] = logits.sum(axis=1)
             np.copyto(probs, 0.0, where=masks)
             masses[2, block] = probs.sum(axis=1)
-    # a stable argsort, as corrupt_labels takes: a process that first calls
-    # np.sort pages in about 0.3 MB more of numpy
+    # a stable argsort, as build_transition takes: toy2d and mil-toy sort
+    # nothing before this, and a process that first calls np.sort pages in
+    # about 0.3 MB more of numpy
     cells = labels * C + preds
     cells = cells[np.argsort(cells, kind="stable")]
     first = np.flatnonzero(np.diff(cells, prepend=-1))

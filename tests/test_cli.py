@@ -404,6 +404,8 @@ class TestExperimentCommands:
             ("noise-recovery", {"dataset": {"class_count": 10**400}}, "dataset.class_count"),
             ("noise-recovery", {"dataset": {"class_count": 2**63}}, "dataset.class_count"),
             ("mil-toy", {"dataset": {"n_bags": 10**22}}, "dataset.n_bags"),
+            # a ring jitter in bounds whose angles are not all finite
+            ("toy2d", {"dataset": {"angular_noise_std": 1e308}}, "dataset.angular_noise_std"),
             # an int at a float key that no float can hold
             ("noise-recovery", {"train": {"learning_rate": 10**400}}, "train.learning_rate"),
             ("mil-toy", {"dataset": {"separation": 10**400}}, "dataset.separation"),

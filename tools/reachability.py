@@ -29,8 +29,9 @@ from pathlib import Path
 from artifact_digests import cli_argv, configs
 
 # (family, config, key): one bad value per rule that the section's type
-# owns rather than the config's bounds table, and a class count too large
-# for any numpy array.  Each exits 2 naming its key before any output
+# owns rather than the config's bounds table, a class count too large for
+# any numpy array, and a ring jitter too wide for finite angles.  Each exits
+# 2 naming its key before any output
 BAD_INPUTS = [
     ("noise-recovery", {"train": {"learning_rate": 0}}, "train.learning_rate"),
     ("noise-recovery", {"train": {"momentum": 1.0}}, "train.momentum"),
@@ -41,6 +42,7 @@ BAD_INPUTS = [
     ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": 1}}, "noise.group_size"),
     ("noise-recovery", {"dataset": {"class_count": 10**12}}, "dataset.class_count"),
     ("sweep", {"dataset": {"class_count": 10**12}}, "dataset.class_count"),
+    ("toy2d", {"dataset": {"angular_noise_std": 1e308}}, "dataset.angular_noise_std"),
 ]
 
 
