@@ -181,7 +181,11 @@ def _mixture_means(class_count: int, dim: int, class_separation: float, means_se
         means = means_rng.normal(size=(class_count, dim))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
     if class_count > 1 and class_separation > 0:
-        means = means * (class_separation / _min_pairwise_distance(means))
+        with np.errstate(over="ignore", divide="ignore"):  # a scale that is not finite is rejected below
+            scale = class_separation / _min_pairwise_distance(means)
+        if not np.isfinite(scale):
+            raise ValueError(f"class_separation is too large for finite class means, got {class_separation}")
+        means = means * scale
     elif class_separation == 0:
         means = np.zeros_like(means)
     means.setflags(write=False)

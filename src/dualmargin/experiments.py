@@ -15,12 +15,13 @@ the flat indices ``true * C + pred`` in increasing order, so no dense
 (C, C) matrix or its text is ever built.  A value the writer cannot
 write raises before any byte is written.
 
-Per output directory the runners emit:
+A runner returns its rows, its result and its plot texts; once every run
+has finished, :func:`run_experiment` writes the output directory:
 
+* experiment-specific plot data (boundary grids, heatmap matrix)
 * ``metrics.csv``   -- one flat row per (seed, method) or sweep cell
 * ``report.json``   -- structured per-run metrics plus aggregates
 * ``manifest.json`` -- config hash, seed list, library version
-* experiment-specific plot data (boundary grids, heatmap matrix)
 
 All four families train through one driver, :func:`_run_methods`: each
 method per seed, a diverged run recorded in ``failures`` while the others
@@ -361,7 +362,9 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
     instead.  Weights LossParams rejects (alpha = beta = 0) and diverged
     runs are failures; each prints one ``FAILED`` line to stderr, and a
     count of the failed runs follows the last.  ``fit(data, q, tc)``
-    returns ``(model, report)``.
+    returns ``(model, report)``.  A ValueError of ``data_for_seed`` is a bad
+    ``dataset`` value, whose message starts with its key: it is re-raised
+    as ``dataset.<message>``.
     ``columns`` names the metrics.csv columns a row fills past the accuracy,
     read from the report's ``diagonal_mass``, ``mean_mass`` and ``extras``;
     the summary is taken over the accuracy and these.  Returns the rows, the
@@ -376,7 +379,10 @@ def _run_methods(cfg: dict, methods: dict, data_for_seed, fit, columns):
     first_models: dict = {}
 
     for seed in cfg["seeds"]:
-        data = data_for_seed(seed)
+        try:
+            data = data_for_seed(seed)
+        except ValueError as exc:
+            raise ValueError(f"dataset.{exc}") from None
         for method, (weights, q) in methods.items():
             name = {"method": method} if isinstance(method, str) else dict(zip(("alpha", "beta"), method))
             try:
@@ -431,61 +437,52 @@ def _fit_train(split, q, tc: TrainConfig):
     return train(train_ds, q, tc, test_data=test_ds)
 
 
-def _transition(cfg: dict):
-    """The noise spec's transition matrix, built once per run: Q is its
-    support, and every seed's split corrupts its labels with it.
+def _noisy_mixture(cfg: dict):
+    """``(q, data_for_seed)`` of a noisy-mixture run: per seed, a (noisy train, clean test) split of one mixture.
 
-    Q is the run's one dense (C, C) array, so room for it is asked first:
-    a class count too large for memory fails here at once, before T's
-    O(C) arrays are written, and one too large for any numpy array fails
-    naming its key.
+    T is built once per run: Q is its support, and every seed's split
+    corrupts its labels with it.  Q is the run's one dense (C, C) array,
+    so room for it is asked first: a class count too large for memory
+    fails here at once, before T's O(C) arrays are written, and one too
+    large for any numpy array fails naming its key.
     """
-    C = cfg["dataset"]["class_count"]
+    ds = cfg["dataset"]
+    C = ds["class_count"]
     try:
         np.empty((C, C), dtype=bool)
     except ValueError:
         raise ValueError(f"dataset.class_count is too large for a (C, C) array, got {C}") from None
-    return build_transition(NoiseSpec(**cfg["noise"]), C)
+    transition = build_transition(NoiseSpec(**cfg["noise"]), C)
+
+    def noisy_split(seed):
+        # the test split shares the class means
+        train_ds = make_gaussian_mixture(
+            C, ds["dim"], ds["n_per_class"], ds["class_separation"], seed=seed, means_seed=seed
+        )
+        test_ds = make_gaussian_mixture(
+            C, ds["dim"], ds["n_test_per_class"], ds["class_separation"], seed=seed + _TEST_SEED_OFFSET, means_seed=seed
+        )
+        return replace(train_ds, noisy_labels=corrupt_labels(train_ds.clean_labels, transition, seed)), test_ds
+
+    return q_from_transition(transition), noisy_split
 
 
-def _noisy_mixture_split(cfg: dict, transition, seed: int):
-    """A (noisy train, clean test) split of one fixed mixture per seed, its labels corrupted by ``transition``."""
-    ds = cfg["dataset"]
-    # the test split shares the class means
-    train_ds = make_gaussian_mixture(
-        ds["class_count"], ds["dim"], ds["n_per_class"], ds["class_separation"],
-        seed=seed, means_seed=seed,
-    )
-    test_ds = make_gaussian_mixture(
-        ds["class_count"], ds["dim"], ds["n_test_per_class"], ds["class_separation"],
-        seed=seed + _TEST_SEED_OFFSET, means_seed=seed,
-    )
-    noisy = corrupt_labels(train_ds.clean_labels, transition, seed)
-    return replace(train_ds, noisy_labels=noisy), test_ds
-
-
-def run_toy2d(cfg: dict) -> dict:
+def run_toy2d(cfg: dict):
     """Ring classification, cross-entropy vs dual-margin with a cyclic window."""
     ds = cfg["dataset"]
     C = ds["class_count"]
 
     def ring_split(seed):
-        try:
-            return (
-                make_ring(C, ds["n_per_class"], ds["angular_noise_std"], seed=seed),
-                make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
-            )
-        except ValueError as exc:
-            raise ValueError(f"dataset.{exc}") from None
+        return (
+            make_ring(C, ds["n_per_class"], ds["angular_noise_std"], seed=seed),
+            make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
+        )
 
     q = q_ordinal(C, cfg["window"], boundary="wrap")
     rows, result, first_models = _run_methods(cfg, _ce_and_dm(cfg, q), ring_split, _fit_train, ("diagonal_mass",))
-    out_dir = Path(cfg["output_dir"])
     resolution = cfg["grid_resolution"]
-    for method, model in first_models.items():
-        atomic_write_text(out_dir / f"boundary_grid_{method}.txt", _boundary_grid_text(model, resolution))
-    _persist(out_dir, cfg, rows, result)
-    return result
+    texts = {f"boundary_grid_{m}.txt": _boundary_grid_text(model, resolution) for m, model in first_models.items()}
+    return rows, result, texts
 
 
 def _boundary_grid_text(model, resolution: int) -> str:
@@ -494,39 +491,35 @@ def _boundary_grid_text(model, resolution: int) -> str:
     xx, yy = np.meshgrid(axis, axis)
     points = np.column_stack([xx.ravel(), yy.ravel()])
     preds = np.argmax(predict_logits(model, points), axis=1)
-    lines = [f"{x!r} {y!r} {int(p)}" for (x, y), p in zip(points, preds)]
+    # Python floats, whose repr no numpy version changes
+    lines = [f"{float(x)!r} {float(y)!r} {int(p)}" for (x, y), p in zip(points, preds)]
     return "\n".join(lines) + "\n"
 
 
-def run_noise_recovery(cfg: dict) -> dict:
+def run_noise_recovery(cfg: dict):
     """Corrupt a mixture per the noise spec, then compare CE vs dual-margin."""
-    transition = _transition(cfg)
-    q = q_from_transition(transition)
+    q, noisy_split = _noisy_mixture(cfg)
     rows, result, _ = _run_methods(
-        cfg, _ce_and_dm(cfg, q, ce_q=q), lambda seed: _noisy_mixture_split(cfg, transition, seed), _fit_train,
+        cfg, _ce_and_dm(cfg, q, ce_q=q), noisy_split, _fit_train,
         ("diagonal_mass", "p_target", "p_plausible", "p_implausible"),
     )
     result["noise"] = cfg["noise"]
-    _persist(Path(cfg["output_dir"]), cfg, rows, result)
-    return result
+    return rows, result, {}
 
 
-def run_sweep(cfg: dict) -> dict:
+def run_sweep(cfg: dict):
     """A CE baseline and one dual-margin method per (alpha, beta) cell, through :func:`_run_methods`.
 
     metrics.csv, the heatmap and the report hold each cell's and the
     baseline's accuracy averaged over the seeds that completed; one with
     none gets no row, ``nan`` in the heatmap and ``null`` in the report.
     """
-    transition = _transition(cfg)
-    q = q_from_transition(transition)
+    q, noisy_split = _noisy_mixture(cfg)
     alphas = [float(a) for a in cfg["sweep"]["alpha_values"]]
     betas = [float(b) for b in cfg["sweep"]["beta_values"]]
     methods = {"ce": (None, None)}
     methods.update({(a, b): ((a, b), q) for a in alphas for b in betas})
-    _, report, _ = _run_methods(
-        cfg, methods, lambda seed: _noisy_mixture_split(cfg, transition, seed), _fit_train, None
-    )
+    _, report, _ = _run_methods(cfg, methods, noisy_split, _fit_train, None)
     mean = {method: scores["accuracy"]["mean"] for method, scores in report["summary"].items()}
     grid = [[mean.get((a, b)) for b in betas] for a in alphas]
     common = {"experiment": "sweep", "seed": cfg["seeds"][0] if len(cfg["seeds"]) == 1 else -1}
@@ -536,11 +529,7 @@ def run_sweep(cfg: dict) -> dict:
     ]
     if "ce" in mean:
         rows.append({**common, "method": "ce", "alpha": 1.0, "beta": 0.0, "accuracy": mean["ce"]})
-
-    out_dir = Path(cfg["output_dir"])
     heat_lines = [" ".join(repr(math.nan if v is None else v) for v in row) for row in grid]
-    atomic_write_text(out_dir / "heatmap.txt", "\n".join(heat_lines) + "\n")
-
     result = {
         "experiment": "sweep",
         "alpha_values": alphas,
@@ -549,11 +538,10 @@ def run_sweep(cfg: dict) -> dict:
         "ce_baseline": mean.get("ce"),
         "failures": report["failures"],
     }
-    _persist(out_dir, cfg, rows, result)
-    return result
+    return rows, result, {"heatmap.txt": "\n".join(heat_lines) + "\n"}
 
 
-def run_mil_toy(cfg: dict) -> dict:
+def run_mil_toy(cfg: dict):
     """Instance-level MIL: CE on inherited labels vs dual-margin with the MIL mask."""
     ds = cfg["dataset"]
 
@@ -567,15 +555,7 @@ def run_mil_toy(cfg: dict) -> dict:
         cfg, _ce_and_dm(cfg, q_mil()), bags_for_seed, lambda bags, q, tc: (None, train_mil_instances(bags, tc, q=q)),
         ("recall_negative_in_positive_bags",),
     )
-    _persist(Path(cfg["output_dir"]), cfg, rows, result)
-    return result
-
-
-def _persist(out_dir: Path, cfg: dict, rows: list[dict], result: dict) -> None:
-    digest = config_hash(cfg)
-    _write_metrics_csv(out_dir, rows)
-    _write_json(out_dir / "report.json", {"config": cfg, "config_hash": digest, **result})
-    _write_json(out_dir / "manifest.json", {"config_hash": digest, "seeds": cfg["seeds"], "version": __version__})
+    return rows, result, {}
 
 
 _RUNNERS = {
@@ -587,5 +567,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> dict:
+    """Validate ``cfg``, run its family, then write the output directory; returns the result."""
     cfg = validate_config(cfg)
-    return _RUNNERS[cfg["experiment"]](cfg)
+    rows, result, texts = _RUNNERS[cfg["experiment"]](cfg)
+    out_dir, digest = Path(cfg["output_dir"]), config_hash(cfg)
+    for name, text in texts.items():
+        atomic_write_text(out_dir / name, text)
+    _write_metrics_csv(out_dir, rows)
+    _write_json(out_dir / "report.json", {"config": cfg, "config_hash": digest, **result})
+    _write_json(out_dir / "manifest.json", {"config_hash": digest, "seeds": cfg["seeds"], "version": __version__})
+    return result

@@ -105,6 +105,20 @@ TINY_TOY2D = {
 }
 
 
+# a two-seed tiny config of each family, keyed by its command
+TINY_TWO_SEEDS = {
+    "toy2d": dict(TINY_TOY2D, seeds=[0, 1], train={"epochs": 1}),
+    "noise-recovery": {"seeds": [0, 1], "dataset": {"n_per_class": 10, "n_test_per_class": 10}, "train": {"epochs": 1}},
+    "sweep": {
+        "seeds": [0, 1],
+        "dataset": {"n_per_class": 10, "n_test_per_class": 10},
+        "train": {"epochs": 1},
+        "sweep": {"alpha_values": [0.1, 1.0], "beta_values": [1.0]},
+    },
+    "mil-toy": {"seeds": [0, 1], "dataset": {"n_bags": 4, "bag_size": 5}, "train": {"epochs": 1}},
+}
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -406,6 +420,12 @@ class TestExperimentCommands:
             ("mil-toy", {"dataset": {"n_bags": 10**22}}, "dataset.n_bags"),
             # a ring jitter in bounds whose angles are not all finite
             ("toy2d", {"dataset": {"angular_noise_std": 1e308}}, "dataset.angular_noise_std"),
+            # a mixture separation in bounds whose class means are not all finite
+            *(
+                (command, {"seeds": [0], "dataset": {"class_count": 20, "dim": 2, "class_separation": 1e308}},
+                 "dataset.class_separation is too large for finite class means, got 1e+308")
+                for command in ("noise-recovery", "sweep")
+            ),
             # an int at a float key that no float can hold
             ("noise-recovery", {"train": {"learning_rate": 10**400}}, "train.learning_rate"),
             ("mil-toy", {"dataset": {"separation": 10**400}}, "dataset.separation"),
@@ -650,6 +670,44 @@ class TestExperimentCommands:
         assert code == 2
         assert "dataset is empty" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,generator,key",
+        [
+            ("toy2d", "make_ring", "n_per_class"),
+            ("noise-recovery", "make_gaussian_mixture", "n_per_class"),
+            ("sweep", "make_gaussian_mixture", "n_per_class"),
+            ("mil-toy", "make_mil_bags", "n_bags"),
+        ],
+    )
+    def test_a_data_builder_error_names_its_dataset_key(self, tmp_path, capsys, monkeypatch, command, generator, key):
+        real = getattr(experiments, generator)
+
+        def failing_on_seed_1(*args, **kwargs):
+            if kwargs["seed"] == 1:
+                raise ValueError(f"{key} is bad")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, generator, failing_on_seed_1)
+        cfg = write_config(tmp_path, TINY_TWO_SEEDS[command])
+        code, out, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: dataset.{key} is bad"
+        assert "seed=0 method=" in out and "seed=1" not in out  # the first seed's runs trained
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", list(TINY_TWO_SEEDS))
+    def test_text_artifacts_hold_plain_python_numbers(self, tmp_path, capsys, command):
+        # numpy 2 writes the repr of a numpy scalar as np.float64(...), numpy 1 as the bare number
+        cfg = write_config(tmp_path, TINY_TWO_SEEDS[command])
+        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 0, err
+        for path in (tmp_path / "o").iterdir():
+            assert "np." not in path.read_text(), path.name
+        for path in (tmp_path / "o").glob("boundary_grid_*.txt"):
+            for line in path.read_text().splitlines():
+                x, y, pred = line.split()
+                float(x), float(y), int(pred)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -24,9 +24,12 @@ architectures and schedules, every noise topology at C = 10 and at
 C = 1000 (block superclass noise there with groups of 8 and of 100), a
 sweep at C = 1000, mixtures whose class count equals their dimension
 (every distance between class means ties) and of dimension 64 (means in
-Fortran order), the CLI's seed and weight flags, and diverging runs
-whose ``failures`` text is an artifact.  A whole run takes about a
-minute on a 2-core host, most of it the default sweep.
+Fortran order), a mixture at ``class_separation`` 0 (every class mean
+at the origin), MIL bags at ``positive_instance_rate`` 0.01 (positive
+bags whose one positive instance is forced), the CLI's seed and weight
+flags, and diverging runs whose ``failures`` text is an artifact.  A
+whole run takes about a minute on a 2-core host, most of it the default
+sweep.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-column-sinks", "noise-recovery", _merged(_MIXTURE, noise={"sinks": [3, 5]}), []),
         ("noise-class-count-equals-dim", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 16, "dim": 16}), []),
         ("noise-dim-64", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 10, "dim": 64}), []),
+        ("noise-class-separation-0", "noise-recovery", _merged(_MIXTURE, dataset={"class_separation": 0.0}), []),
+        ("mil-toy-forced-positive", "mil-toy", _merged(TINY["mil-toy"], dataset={"bag_size": 5, "positive_instance_rate": 0.01}), []),
         ("toy2d-flags", "toy2d", TINY["toy2d"], ["--seed", "3", "--alpha", "0.5", "--beta", "2.5"]),
         ("sweep-wide", "sweep", _merged(_WIDE, sweep={"alpha_values": [0.1, 1.0], "beta_values": [0.0, 1.0]}), []),
         ("noise-wide-asymmetric-pairs", "noise-recovery", _merged(_WIDE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[999, 0], [0, 1], [500, 499]]}), []),

@@ -30,8 +30,9 @@ from artifact_digests import cli_argv, configs
 
 # (family, config, key): one bad value per rule that the section's type
 # owns rather than the config's bounds table, a class count too large for
-# any numpy array, and a ring jitter too wide for finite angles.  Each exits
-# 2 naming its key before any output
+# any numpy array, a ring jitter too wide for finite angles, and a mixture
+# separation too wide for finite class means.  Each exits 2 naming its key
+# before any output
 BAD_INPUTS = [
     ("noise-recovery", {"train": {"learning_rate": 0}}, "train.learning_rate"),
     ("noise-recovery", {"train": {"momentum": 1.0}}, "train.momentum"),
@@ -43,6 +44,10 @@ BAD_INPUTS = [
     ("noise-recovery", {"dataset": {"class_count": 10**12}}, "dataset.class_count"),
     ("sweep", {"dataset": {"class_count": 10**12}}, "dataset.class_count"),
     ("toy2d", {"dataset": {"angular_noise_std": 1e308}}, "dataset.angular_noise_std"),
+    *(
+        (family, {"dataset": {"class_count": 20, "dim": 2, "class_separation": 1e308}}, "dataset.class_separation")
+        for family in ("noise-recovery", "sweep")
+    ),
 ]
 
 
