@@ -110,7 +110,7 @@ def make_ring(
     ``cos`` or ``sin``.
     """
     if class_count < 3:
-        raise ValueError("ring needs at least 3 classes")
+        raise ValueError(f"class_count must be >= 3 for the ring, got {class_count}")
     rng = np.random.default_rng(seed)
     width = 2.0 * np.pi / class_count
     labels = np.repeat(np.arange(class_count), n_per_class)
@@ -215,8 +215,13 @@ def make_gaussian_mixture(
     ``np.linalg.norm(means[:, None] - means[None], axis=2)`` minimised off the
     diagonal, which holds a (C, C, dim) difference tensor.
     """
-    if class_count < 1 or dim < 1:
-        raise ValueError("class_count and dim must be >= 1")
+    if class_count < 1:
+        raise ValueError(f"class_count must be >= 1, got {class_count}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim == 1 and class_count > 1:
+        # on a line every unit direction is +1 or -1, so two class means can coincide
+        raise ValueError(f"dim must be >= 2 for more than one class, got {dim}")
     means = _mixture_means(class_count, dim, class_separation, seed if means_seed is None else means_seed)
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(class_count), n_per_class)
@@ -240,9 +245,11 @@ def make_mil_bags(
     0 = negative, 1 = positive.
     """
     if not 0.0 < positive_instance_rate <= 1.0:
-        raise ValueError("positive_instance_rate must be in (0, 1]")
-    if n_bags < 2 or bag_size < 1:
-        raise ValueError("need at least 2 bags and 1 instance per bag")
+        raise ValueError(f"positive_instance_rate must be in (0, 1], got {positive_instance_rate}")
+    if n_bags < 2:
+        raise ValueError(f"n_bags must be >= 2, got {n_bags}")
+    if bag_size < 1:
+        raise ValueError(f"bag_size must be >= 1, got {bag_size}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=dim)
     direction /= np.linalg.norm(direction)

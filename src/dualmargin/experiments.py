@@ -183,23 +183,21 @@ def validate_config(cfg: dict) -> dict:
     list is nonempty, repeats no item, and holds items of the kind of its
     default's first (a tuple default also fixes the length); a str is set;
     a number is finite and of its default's type (an int is also a float,
-    a bool is no number).  A number lies in its ``_BOUNDS`` row, or else
-    follows the rule: an int is in [1, 2**63), a float at least 0.  The
-    rules that tie keys together follow the walk.  The rest of a section's
-    value rules belong to its type: the ``train`` section is a
-    :class:`~dualmargin.training.TrainConfig`'s, and the ``noise`` section a
-    :class:`~dualmargin.noise.NoiseSpec`'s, its layout checked by
-    :func:`~dualmargin.noise.check_layout`.  Each error names its key.
+    a bool is no number).  An int is in [1, 2**63), or at least 0 at a
+    ``_ZERO_OK`` key; a float is at least 0.  Each other value rule has one
+    owner, and each error names its key: ``train``'s is
+    :class:`~dualmargin.training.TrainConfig`, ``noise``'s are
+    :class:`~dualmargin.noise.NoiseSpec` and its layout's
+    :func:`~dualmargin.noise.check_layout`, and the data builders and
+    :func:`~dualmargin.plausibility.q_ordinal` raise before any output.
+    The two rules whose owner names no key follow the walk: ``loss``
+    weights not both 0, and column noise's C >= 2.
     """
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     _check("", cfg, _DEFAULTS[experiment])
     C, noise = cfg["dataset"].get("class_count"), cfg.get("noise")
-    if experiment == "toy2d" and C < 3:
-        raise ValueError(f"dataset.class_count must be >= 3 for the ring, got {C}")
-    if experiment == "toy2d" and cfg["window"] >= C:
-        raise ValueError(f"window must be smaller than dataset.class_count {C}, got {cfg['window']}")
     if "loss" in cfg and cfg["loss"]["alpha"] == cfg["loss"]["beta"] == 0:
         raise ValueError("loss.alpha and loss.beta must not both be 0")
     try:
@@ -217,18 +215,8 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-# the intervals of the numbers no allocation-free owner checks, where they
-# differ from the rule (an int is in [1, 2**63), a float in [0, inf)); a
-# section's other value rules belong to its type.  2**63, the first int an
-# int64 cannot hold, is a float that compares exactly with any int
-_BOUNDS = {
-    "seeds": "[0, inf)",
-    "window": "[0, inf)",
-    "dataset.n_bags": "[2, 9223372036854775808)",
-    "dataset.positive_instance_rate": "(0, 1]",
-    "noise.sinks": "[0, inf)",
-    "noise.pairs": "[0, inf)",
-}
+# the int keys that may be 0 (seeds, a window, class indices); every other int is a count
+_ZERO_OK = {"seeds", "window", "noise.sinks", "noise.pairs"}
 
 # the noise section's optional layout keys, each with a value of its kind
 _NOISE_LAYOUT = {"sinks": (0, 1), "pairs": [(0, 1)], "group_size": 2}
@@ -268,12 +256,9 @@ def _check(where: str, value, default) -> None:
     # a float key's value, an int too, converts to a finite float
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{where} must be finite, got {value!r}")
-    bound = _BOUNDS.get(where.partition("[")[0]) or ("[1, 9223372036854775808)" if kind is int else "[0, inf)")
-    low, high = (float(end) for end in bound[1:-1].split(","))
-    above = low < value if bound[0] == "(" else low <= value
-    below = value < high if bound[-1] == ")" else value <= high
-    if not (above and below):
-        raise ValueError(f"{where} must be in {bound}, got {value!r}")
+    low, high = (1, 2**63) if kind is int and where.partition("[")[0] not in _ZERO_OK else (0, math.inf)
+    if not low <= value < high:
+        raise ValueError(f"{where} must be in [{low}, {high}), got {value!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -478,7 +463,7 @@ def run_toy2d(cfg: dict):
             make_ring(C, ds["n_test_per_class"], ds["angular_noise_std"], seed=seed + _TEST_SEED_OFFSET),
         )
 
-    q = q_ordinal(C, cfg["window"], boundary="wrap")
+    q = q_ordinal(C, cfg["window"])
     rows, result, first_models = _run_methods(cfg, _ce_and_dm(cfg, q), ring_split, _fit_train, ("diagonal_mass",))
     resolution = cfg["grid_resolution"]
     texts = {f"boundary_grid_{m}.txt": _boundary_grid_text(model, resolution) for m, model in first_models.items()}

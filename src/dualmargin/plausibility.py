@@ -7,9 +7,9 @@ and forces the diagonal (:func:`dualmargin.loss.sets_from_q`), so every
 label always yields a nonempty set.  Dense storage is deliberate: class
 counts here are at most a few thousand.
 
-Three builders serve the experiment families: :func:`q_ordinal` (a band of
-neighbouring labels; toy2d), :func:`q_mil` (the MIL asymmetry; mil-toy) and
-:func:`q_from_transition` (a noise matrix's support; noise-recovery, sweep).
+Three builders serve the experiment families: :func:`q_ordinal` (a cyclic
+band of neighbouring labels; toy2d), :func:`q_mil` (the MIL asymmetry; mil-toy)
+and :func:`q_from_transition` (a noise matrix's support; noise-recovery, sweep).
 
 Q has one interchange format, read by the ``loss-eval`` command: C text
 rows of space-separated 0/1 tokens.  The loader validates squareness and
@@ -32,25 +32,19 @@ MIL_NEGATIVE = 0
 MIL_POSITIVE = 1
 
 
-def q_ordinal(class_count: int, window: int, boundary: str = "clamp") -> np.ndarray:
-    """Band matrix marking labels within ``window`` steps as plausible.
+def q_ordinal(class_count: int, window: int) -> np.ndarray:
+    """Band matrix marking labels within ``window`` cyclic steps as plausible.
 
-    ``boundary="clamp"`` uses plain index distance (age-like linear
-    scales); ``boundary="wrap"`` uses cyclic distance (angle-like scales).
-    ``window=0`` reduces to the identity.
+    The last label neighbours the first (angle-like scales); ``window=0`` is the identity.
     """
     window = int(window)
     if window < 0:
-        raise ValueError("window must be >= 0")
+        raise ValueError(f"window must be >= 0, got {window}")
     if window >= class_count:
-        raise ValueError(f"window {window} must be smaller than class_count {class_count}")
-    if boundary not in ("clamp", "wrap"):
-        raise ValueError(f"boundary must be 'clamp' or 'wrap', got {boundary!r}")
+        raise ValueError(f"window must be smaller than class_count {class_count}, got {window}")
     idx = np.arange(class_count)
     diff = np.abs(idx[:, None] - idx[None, :])
-    if boundary == "wrap":
-        diff = np.minimum(diff, class_count - diff)
-    return diff <= window
+    return np.minimum(diff, class_count - diff) <= window
 
 
 def q_mil() -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dualmargin import LossParams, cli, experiments, loss_from_logits, training
 from dualmargin.cli import main
-from dualmargin.plausibility import q_ordinal
+from dualmargin.plausibility import load_q_text
 from helpers import counts_from_dense, dense_counts
 
 
@@ -25,7 +25,7 @@ def loss_eval_files(tmp_path):
     z_path = tmp_path / "z.txt"
     z_path.write_text("2.0 1.0 0.0 -1.0\n")
     q_path = tmp_path / "q.txt"
-    q_path.write_text("1 1 0 0\n1 1 1 0\n0 1 1 1\n0 0 1 1\n")  # q_ordinal(4, 1, "clamp")
+    q_path.write_text("1 1 0 0\n1 1 1 0\n0 1 1 1\n0 0 1 1\n")  # a band of width 1 that does not wrap
     return z_path, q_path
 
 
@@ -61,7 +61,7 @@ class TestLossEval:
         assert code == 0
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         z = np.array([2.0, 1.0, 0.0, -1.0])
-        expected = loss_from_logits(z, 0, q_ordinal(4, 1, "clamp"), LossParams(0.1, 10.0, allow_degenerate=True))
+        expected = loss_from_logits(z, 0, load_q_text(q_path), LossParams(0.1, 10.0, allow_degenerate=True))
         for key, value in expected.as_dict().items():
             assert float(fields[key]) == value  # %.17g round-trips float64 exactly
 
@@ -407,6 +407,7 @@ class TestExperimentCommands:
             ("toy2d", {"window": 8}, "window"),
             ("mil-toy", {"dataset": {"positive_instance_rate": 1.5}}, "dataset.positive_instance_rate"),
             ("mil-toy", {"dataset": {"n_bags": 1}}, "dataset.n_bags"),
+            ("mil-toy", {"dataset": {"positive_instance_rate": 0}}, "dataset.positive_instance_rate"),
             ("noise-recovery", {"noise": {"eta": 1.5}}, "noise.eta"),
             ("noise-recovery", {"train": {"momentum": 1.0}}, "train.momentum"),
             ("noise-recovery", {"train": {"batch_size": 0}}, "train.batch_size"),
@@ -425,6 +426,13 @@ class TestExperimentCommands:
                 (command, {"seeds": [0], "dataset": {"class_count": 20, "dim": 2, "class_separation": 1e308}},
                  "dataset.class_separation is too large for finite class means, got 1e+308")
                 for command in ("noise-recovery", "sweep")
+            ),
+            # a mixture on a line, where two class means can coincide
+            ("noise-recovery", {"dataset": {"dim": 1}}, "dataset.dim must be >= 2 for more than one class, got 1"),
+            (
+                "noise-recovery",
+                {"seeds": [1], "dataset": {"class_count": 2, "dim": 1}},
+                "dataset.dim must be >= 2 for more than one class, got 1",
             ),
             # an int at a float key that no float can hold
             ("noise-recovery", {"train": {"learning_rate": 10**400}}, "train.learning_rate"),
@@ -462,6 +470,9 @@ class TestExperimentCommands:
             ("toy2d", {"dataset": {"class_count": 4}, "window": 3}),
             ("toy2d", {"dataset": {"class_count": 3}, "window": 0}),
             ("noise-recovery", {"noise": {"eta": 1.0}}),
+            # class indices may be 0
+            ("noise-recovery", {"noise": {"sinks": [0, 1]}}),
+            ("noise-recovery", {"noise": {"topology": "asymmetric_pairs", "pairs": [[0, 1]]}}),
             ("noise-recovery", {"noise": {"topology": "block_superclass", "group_size": 10}}),
             ("noise-recovery", {"train": {"momentum": 0.0, "architecture": "mlp1", "hidden_units": 1}}),
             ("mil-toy", {"dataset": {"positive_instance_rate": 1.0, "n_bags": 2, "bag_size": 10}}),

@@ -14,6 +14,7 @@ from dualmargin import (
     make_gaussian_mixture,
     make_mil_bags,
     make_ring,
+    q_ordinal,
     train,
 )
 from helpers import blocked_min_distance
@@ -267,3 +268,28 @@ class TestMilBags:
         b = make_mil_bags(12, 9, 0.4, seed=7)
         for xa, xb in zip(a.bags, b.bags):
             np.testing.assert_array_equal(xa, xb)
+
+
+@pytest.mark.parametrize(
+    "builder,kwargs,name",
+    [
+        (make_ring, {"class_count": 2}, "class_count"),
+        (make_ring, {"angular_noise_std": 1e308}, "angular_noise_std"),
+        (make_gaussian_mixture, {"class_count": 0}, "class_count"),
+        (make_gaussian_mixture, {"class_count": 1, "dim": 0}, "dim"),
+        (make_gaussian_mixture, {"class_count": 2, "dim": 1}, "dim"),
+        (make_gaussian_mixture, {"class_count": 20, "dim": 2, "class_separation": 1e308}, "class_separation"),
+        (make_mil_bags, {"n_bags": 1, "bag_size": 5, "positive_instance_rate": 0.5}, "n_bags"),
+        (make_mil_bags, {"n_bags": 4, "bag_size": 0, "positive_instance_rate": 0.5}, "bag_size"),
+        (make_mil_bags, {"n_bags": 4, "bag_size": 5, "positive_instance_rate": 0.0}, "positive_instance_rate"),
+        (make_mil_bags, {"n_bags": 4, "bag_size": 5, "positive_instance_rate": 1.5}, "positive_instance_rate"),
+        (q_ordinal, {"class_count": 8, "window": -1}, "window"),
+        (q_ordinal, {"class_count": 8, "window": 8}, "window"),
+    ],
+)
+def test_a_builder_error_starts_with_the_argument_at_fault(builder, kwargs, name):
+    # the experiments re-raise it under its config key, so the first word must be the argument's name
+    with pytest.raises(ValueError) as info:
+        builder(**kwargs)
+    assert str(info.value).split()[0] == name
+    assert str(kwargs[name]) in str(info.value)

@@ -42,26 +42,15 @@ class TestIdentity:
 
 
 class TestOrdinal:
-    def test_clamp_center(self):
-        assert members(q_ordinal(5, 2, "clamp"), 2) == {0, 1, 2, 3, 4}
-
-    def test_clamp_boundary(self):
-        assert members(q_ordinal(5, 2, "clamp"), 0) == {0, 1, 2}
-
     def test_wrap_crosses_the_seam(self):
-        assert members(q_ordinal(8, 1, "wrap"), 0) == {7, 0, 1}
+        assert members(q_ordinal(8, 1), 0) == {7, 0, 1}
 
     def test_zero_window_equals_identity(self):
-        for boundary in ("clamp", "wrap"):
-            np.testing.assert_array_equal(q_ordinal(6, 0, boundary), np.eye(6, dtype=bool))
+        np.testing.assert_array_equal(q_ordinal(6, 0), np.eye(6, dtype=bool))
 
     def test_window_too_large_raises(self):
         with pytest.raises(ValueError):
             q_ordinal(4, 4)
-
-    def test_bad_boundary_raises(self):
-        with pytest.raises(ValueError):
-            q_ordinal(4, 1, "mirror")
 
 
 class TestMil:
@@ -133,7 +122,7 @@ class TestConsumption:
 class TestSerialization:
     def test_text_round_trip(self, tmp_path):
         path = tmp_path / "q.txt"
-        path.write_text("1 1 0 0 0\n1 1 1 0 0\n0 1 1 1 0\n0 0 1 1 1\n0 0 0 1 1\n")
+        path.write_text("1 1 0 0 1\n1 1 1 0 0\n0 1 1 1 0\n0 0 1 1 1\n1 0 0 1 1\n")
         np.testing.assert_array_equal(load_q_text(path), q_ordinal(5, 1))
 
     def test_bad_token_names_row(self):
