@@ -28,8 +28,10 @@ method per seed, a diverged run recorded in ``failures`` while the others
 go on.  The ``report.json`` of every family but ``sweep`` holds ``runs``
 (``{method: {seed: report}}``), ``failures`` and ``summary`` (``{method:
 {column: {mean, std}}}`` over the accuracy and the metrics.csv columns the
-family names, leaving out a method with no completed run).  The config
-hash leaves out ``output_dir``.
+family names, leaving out a method with no completed run).  A value a run
+leaves undefined, as an empty class's recall, is ``null``, an empty
+metrics.csv cell and left out of its summary, ``null`` when no run holds
+one.  The config hash leaves out ``output_dir``.
 """
 
 from __future__ import annotations
@@ -318,18 +320,18 @@ def _write_json(path, payload) -> None:
     A payload may also hold :class:`~dualmargin.training.ConfusionCounts`:
     each is written as ``{"class_count": C, "cells": [...], "counts":
     [...]}``, its nonzero cells and their counts.  Any other value json
-    cannot write raises TypeError before a byte is written: ``path`` then
-    keeps what it held before.
+    cannot write raises TypeError, and a NaN or infinite float ValueError,
+    before a byte is written: ``path`` then keeps what it held before.
     """
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_counts_as_cells) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_counts_as_cells) + "\n")
 
 
-def _mean_std(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-    }
+def _mean_std(values: list[float | None]) -> dict | None:
+    """Mean and sample std of the values that are not None; None when none is."""
+    arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
+    if arr.size:
+        return {"mean": float(arr.mean()), "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ of three terms,
 
 and evaluates it in a single pass over the logits.  Each row splits into
 three disjoint cells, ``{t}``, ``P = S - {t}`` and ``N``.  Every entry of P
-and N is shifted by the max of its own cell, so one ``exp`` over the whole
-(B, C) batch yields both cell sums, with no overflow for any finite logit
-and full relative accuracy within each cell.  Below 17 classes the two
+and N is shifted by the max of its own cell, so one ``exp`` over a (B, C)
+batch yields both cell sums, with no overflow for any finite logit and
+full relative accuracy within each cell.  Below 17 classes the two
 cell maxima are reduced class-major, which is faster on such narrow rows
 and, a maximum being exact in any order, gives the same bits.  The pooled
 scores follow from the two cell log-sum-exps,
@@ -39,7 +39,9 @@ keeps full relative accuracy for losses far below machine epsilon.  The
 analytic gradient (:func:`batch_loss_and_grad`) reuses the same exponential
 array, scaled by one coefficient per row and cell; each coefficient is the
 exp of a quantity that is <= 0 in exact arithmetic and clamped at 0, since
-rounding at logits past about 1e19 can leave it far above 0.
+rounding at logits past about 1e19 can leave it far above 0.  A batch of
+1 MB or more of logits is taken in equal row blocks of 0.5 to 1 MB, whose
+arrays stay in cache; every reduction is per row, so blocks keep the bits.
 
 Conventions for empty/disabled terms: a zero weight or an empty index set
 makes the corresponding pooled term -inf, i.e. it simply drops out of the
@@ -167,9 +169,9 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return a.max(axis=1)
 
 
-def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float, beta: float, want_grad: bool):
-    """Per-sample losses, the (B, C) gradient (None unless ``want_grad``) and
-    the pooled terms as arrays keyed by :class:`LossBreakdown` field.
+def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float, beta: float, want_grad: bool, out=None):
+    """Per-sample losses, the (B, C) gradient (None unless ``want_grad``; made
+    in ``out`` if given) and the pooled terms, arrays keyed by LossBreakdown field.
 
     ``at_t`` holds each row's target as a row-major flat index, which take and
     put honour on any layout.  The form is described in the module docstring.
@@ -190,7 +192,7 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
     max_n = _row_max(work)
     np.copyto(work, max_n[:, None])
     np.copyto(work, max_p[:, None], where=set_masks)
-    e = np.subtract(Z, work)
+    e = np.subtract(Z, work, out=out)
     e.put(at_t, -np.inf)
     np.exp(e, out=e)
     # each cell sum is a row dot product with the cell's 0/1 mask; e is 0 at
@@ -316,9 +318,30 @@ def batch_loss(Z, targets, q, params: LossParams) -> float:
     return float(losses.sum()) / Z.shape[0]
 
 
+# bytes of logits per kernel block in batch_loss_and_grad
+_GRAD_BLOCK_BYTES = 500_000
+
+
 def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
-    """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B."""
+    """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B.
+
+    A batch of ``2 * _GRAD_BLOCK_BYTES`` or more of logits runs the kernel in
+    equal row blocks, each building its gradient in its rows of the result.
+    """
     Z, at_t, masks = _validate_batch(Z, targets, q)
-    losses, grads, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
-    grads /= Z.shape[0]
-    return float(losses.sum()) / Z.shape[0], grads
+    B, C = Z.shape
+    blocks = B * C * 8 // _GRAD_BLOCK_BYTES
+    if blocks < 2:
+        losses, grads, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
+        grads /= B
+        return float(losses.sum()) / B, grads
+    height = -(-B // blocks)
+    losses, grads = np.empty(B), np.empty((B, C))
+    # x * (1 / B) rounds the same real number as x / B when B is a power of two, and is cheaper
+    scale, by = (np.multiply, 1.0 / B) if B & (B - 1) == 0 else (np.divide, B)
+    for lo in range(0, B, height):
+        rows = slice(lo, lo + height)
+        block = grads[rows]
+        losses[rows], _, _ = _kernel(Z[rows], masks[rows], at_t[rows] - lo * C, params.alpha, params.beta, True, block)
+        scale(block, by, out=block)
+    return float(losses.sum()) / B, grads

@@ -396,7 +396,7 @@ def train_mil_instances(bags, cfg: TrainConfig, q: np.ndarray | None = None) -> 
     return report
 
 
-def _class_recalls(confusion: ConfusionCounts) -> list[float]:
-    """Each class's recall, a correctly rounded count / total as the mean of a boolean mask is; nan for an empty row."""
+def _class_recalls(confusion: ConfusionCounts) -> list[float | None]:
+    """Each class's recall, a correctly rounded count / total as the mean of a boolean mask is; None for an empty row."""
     diagonal, row_sums = _diagonal_and_row_sums(confusion)
-    return [hits / total if total else float("nan") for hits, total in zip(diagonal.tolist(), row_sums.tolist())]
+    return [hits / total if total else None for hits, total in zip(diagonal.tolist(), row_sums.tolist())]

@@ -487,6 +487,41 @@ class TestExperimentCommands:
         assert code == 0, err
         assert (tmp_path / "o" / "report.json").exists()
 
+    @staticmethod
+    def strict_json(path):
+        """``path`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+        def refuse(name):
+            raise ValueError(f"{path.name} holds {name}")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("command", list(TINY_TWO_SEEDS))
+    def test_every_json_artifact_is_strict_json(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, TINY_TWO_SEEDS[command])
+        code, _, err = run_cli([command, "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 0, err
+        for name in ("report.json", "manifest.json"):
+            self.strict_json(tmp_path / "o" / name)
+
+    def test_an_undefined_recall_is_null_and_an_empty_cell(self, tmp_path, capsys):
+        # at rate 1.0 a positive bag holds no negative instance
+        doc = {"seeds": [0], "dataset": {"n_bags": 8, "bag_size": 10, "positive_instance_rate": 1.0}, "train": {"epochs": 3}}
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run_cli(["mil-toy", "--config", cfg, "--out", tmp_path / "o"], capsys)
+        assert code == 0, err
+        report = self.strict_json(tmp_path / "o" / "report.json")
+        with open(tmp_path / "o" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["ce", "dual_margin"]
+        for row in rows:
+            method, extras = row["method"], report["runs"][row["method"]]["0"]["extras"]
+            assert extras["recall_negative_in_positive_bags"] is None
+            assert 0.0 <= extras["recall_positive"] <= 1.0
+            assert report["summary"][method]["recall_negative_in_positive_bags"] is None
+            assert report["summary"][method]["accuracy"]["std"] == 0.0
+            assert row["recall_negative_in_positive_bags"] == ""
+
     @pytest.mark.parametrize(
         "experiment,digest",
         [
@@ -786,15 +821,27 @@ class TestReportWriter:
             cells = np.flatnonzero(dense)
             return {"class_count": counts.class_count, "cells": cells.tolist(), "counts": dense[cells].tolist()}
 
-        text = json.dumps(payload, indent=2, sort_keys=True, default=nonzero_cells)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=nonzero_cells)
         return (text + "\n").encode("utf-8")
+
+    def assert_writes_dumps(self, path, payload):
+        """``_write_json`` writes the bytes of :meth:`dumps`, or raises its
+        ValueError on a NaN or infinity and leaves ``path`` as it was."""
+        before = path.read_bytes() if path.exists() else None
+        try:
+            want = self.dumps(payload)
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                experiments._write_json(path, payload)
+            assert (path.read_bytes() if path.exists() else None) == before
+            return
+        experiments._write_json(path, payload)
+        assert path.read_bytes() == want
 
     @settings(max_examples=100, deadline=None)
     @given(payload=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
     def test_bytes_equal_json_dumps(self, tmp_path_factory, payload):
-        path = tmp_path_factory.getbasetemp() / "writer.json"
-        experiments._write_json(path, payload)
-        assert path.read_bytes() == self.dumps(payload)
+        self.assert_writes_dumps(tmp_path_factory.getbasetemp() / "writer.json", payload)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -809,9 +856,7 @@ class TestReportWriter:
     @example({"a": counts_from_dense(np.zeros((3, 3), dtype=int)), "b": counts_from_dense([[0]])})
     @example({"a": [counts_from_dense([[2**63 - 1]]), counts_from_dense([[0, 1], [7, 0]])]})
     def test_confusion_counts_are_written_as_their_nonzero_cells(self, tmp_path_factory, payload):
-        path = tmp_path_factory.getbasetemp() / "arrays.json"
-        experiments._write_json(path, payload)
-        assert path.read_bytes() == self.dumps(payload)
+        self.assert_writes_dumps(tmp_path_factory.getbasetemp() / "arrays.json", payload)
 
     @pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 0}}])
     def test_non_str_keys_are_written_as_json_dumps_writes_them(self, tmp_path, payload):
@@ -840,6 +885,16 @@ class TestReportWriter:
         # json.dumps meets the bad value before any text reaches the temp file
         with pytest.raises(TypeError):
             experiments._write_json(path, {"a": list(range(100_000)), "b": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+    def test_a_nan_or_infinity_raises_value_error_and_keeps_the_old_file(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        experiments._write_json(path, {"ok": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            experiments._write_json(path, {"a": list(range(100_000)), "b": {"c": [bad]}})
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
 

@@ -8,8 +8,12 @@ coefficients differ by more than the float64 precision.  Both kernels
 read and write each row's target entry through its index into the
 flattened logits, which must give the same bits on any memory layout,
 and take their row maxima class-major on narrow rows, which must give
-the bits of the row-wise maxima.
+the bits of the row-wise maxima.  The dual-margin gradient of a wide
+batch is taken in row blocks, which must give the bits of one pass, and
+within a bounded peak of memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +89,59 @@ class TestRowMaxWidthThreshold:
 
     def test_no_targets_of_no_classes_give_an_empty_set_matrix(self):
         assert sets_from_q(np.zeros((0, 0), dtype=bool), []).shape == (0, 0)
+
+
+class TestGradientRowBlocks:
+    @pytest.mark.parametrize("layout", ["c", "fortran", "column-strided", "row-strided"])
+    @pytest.mark.parametrize("C", [7, 17, 40])
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0, 1e300])
+    # blocks divide by 98 but multiply by 1 / 64, which must give the quotient's bits
+    @pytest.mark.parametrize("B,heights", [(98, [1, 7, 49]), (64, [1, 8, 32])])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, layout, C, scale, B, heights):
+        rng = np.random.default_rng(C)
+        Z = rng.normal(scale=scale, size=(B, C))
+        Z[:, 0], Z[:, 1] = 0.0, -0.0
+        targets = rng.integers(0, C, size=B)
+        q = rng.random((C, C)) < 0.3
+        q[:, 0] = False  # target 0: P is empty
+        q[:, 1] = True  # target 1: N is empty
+        targets[:4] = [0, 1, 0, 1]
+        targets[-2:] = [1, 0]
+        logits = Z if layout == "c" else layouts(Z)[layout]
+        seen, kernel = [], loss._kernel
+
+        def recording(block, *args, **kwargs):
+            seen.append(len(block))
+            return kernel(block, *args, **kwargs)
+
+        monkeypatch.setattr(loss, "_kernel", recording)
+        for weights in [(0.3, 5.0), (0.0, 1.0), (1.0, 0.0)]:
+            params = LossParams(*weights)
+            monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * B * C)
+            want_loss, want_grad = batch_loss_and_grad(logits, targets, q, params)
+            for height in heights:
+                monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * height * C)
+                seen.clear()
+                got_loss, got_grad = batch_loss_and_grad(logits, targets, q, params)
+                assert seen == [height] * (B // height)
+                assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes(), (weights, height)
+                assert got_grad.tobytes() == want_grad.tobytes(), (weights, height)
+
+    def test_peak_memory_is_the_gradient_and_a_block(self):
+        B, C = 128, 4000
+        rng = np.random.default_rng(0)
+        Z = rng.normal(scale=3.0, size=(B, C))
+        targets = rng.integers(0, C, size=B)
+        q = np.eye(C, dtype=bool) | np.eye(C, k=1, dtype=bool)
+        tracemalloc.start()
+        try:
+            _, grad = batch_loss_and_grad(Z, targets, q, LossParams(0.3, 5.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (B, C) gradient, which each block builds its exps in, the masks
+        # and one block's work array; one pass holds three (B, C) float arrays
+        assert peak <= grad.nbytes + (5 << 19)
 
 
 mp = pytest.importorskip("mpmath")

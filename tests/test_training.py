@@ -423,7 +423,7 @@ class TestMilTraining:
         assert dual.clean_test_accuracy > 0.9
         for report in (ce, dual):
             # pure positive bags have no mislabeled population to score
-            assert np.isnan(report.extras["recall_negative_in_positive_bags"])
+            assert report.extras["recall_negative_in_positive_bags"] is None
 
     def test_extras_report_instance_recalls(self):
         bags = make_mil_bags(20, 20, positive_instance_rate=0.3, dim=2, seed=1)

@@ -22,14 +22,17 @@ Progress lines of the runs go to stderr.  The list covers every family
 at its default and at a tiny config, the benchmark's workloads, both
 architectures and schedules, every noise topology at C = 10 and at
 C = 1000 (block superclass noise there with groups of 8 and of 100), a
-sweep at C = 1000, mixtures whose class count equals their dimension
-(every distance between class means ties) and of dimension 64 (means in
-Fortran order), a mixture at ``class_separation`` 0 (every class mean
-at the origin), MIL bags at ``positive_instance_rate`` 0.01 (positive
-bags whose one positive instance is forced), the CLI's seed and weight
-flags, and diverging runs whose ``failures`` text is an artifact.  A
-whole run takes about a minute on a 2-core host, most of it the default
-sweep.
+sweep at C = 1000, column noise at C = 3000 (every training batch spans
+several of ``batch_loss_and_grad``'s row blocks, and the last batch is
+shorter), mixtures whose class count equals their dimension (every
+distance between class means ties) and of dimension 64 (means in Fortran
+order), a mixture at ``class_separation`` 0 (every class mean at the
+origin), MIL bags at ``positive_instance_rate`` 0.01 (positive bags whose
+one positive instance is forced) and 1.0 (no negative instance in a
+positive bag, so that recall is ``null``), the CLI's seed and weight
+flags, and diverging runs whose ``failures`` text is an artifact: 108
+files in all.  A whole run takes about a minute on a 2-core host, most
+of it the default sweep.
 """
 
 from __future__ import annotations
@@ -84,12 +87,14 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-dim-64", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 10, "dim": 64}), []),
         ("noise-class-separation-0", "noise-recovery", _merged(_MIXTURE, dataset={"class_separation": 0.0}), []),
         ("mil-toy-forced-positive", "mil-toy", _merged(TINY["mil-toy"], dataset={"bag_size": 5, "positive_instance_rate": 0.01}), []),
+        ("mil-toy-all-positive", "mil-toy", _merged(TINY["mil-toy"], dataset={"positive_instance_rate": 1.0}), []),
         ("toy2d-flags", "toy2d", TINY["toy2d"], ["--seed", "3", "--alpha", "0.5", "--beta", "2.5"]),
         ("sweep-wide", "sweep", _merged(_WIDE, sweep={"alpha_values": [0.1, 1.0], "beta_values": [0.0, 1.0]}), []),
         ("noise-wide-asymmetric-pairs", "noise-recovery", _merged(_WIDE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[999, 0], [0, 1], [500, 499]]}), []),
         ("noise-wide-cyclic-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 10}), []),
         ("noise-wide-block-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 8}), []),
         ("noise-wide-block-superclass-100", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 100}), []),
+        ("noise-wide-3000", "noise-recovery", _merged(_WIDE, dataset={"class_count": 3000, "n_per_class": 1, "n_test_per_class": 1}), []),
         ("sweep-diverging", "sweep", _merged(_DIVERGING, sweep={"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]}), []),
         ("noise-recovery-diverging", "noise-recovery", _DIVERGING, []),
     ]
