@@ -42,6 +42,12 @@ exp of a quantity that is <= 0 in exact arithmetic and clamped at 0, since
 rounding at logits past about 1e19 can leave it far above 0.  A batch of
 1 MB or more of logits is taken in equal row blocks of 0.5 to 1 MB, whose
 arrays stay in cache; every reduction is per row, so blocks keep the bits.
+When every row of such a batch has an empty P or an empty N, as under
+column noise and the MIL Q, whose labels each have their own class or all C
+as their set, the gradient takes one max, one shift, one ``exp``, one sum
+and one coefficient per row where the kernel takes two of each.  The pooled
+tail (:func:`_pool`) sees the empty cell as the kernel does, with max -inf
+and sum 0, so every value keeps the kernel's bits.
 
 Conventions for empty/disabled terms: a zero weight or an empty index set
 makes the corresponding pooled term -inf, i.e. it simply drops out of the
@@ -53,6 +59,7 @@ All arithmetic is float64.  Every function here is pure and thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -176,8 +183,6 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
     ``at_t`` holds each row's target as a row-major flat index, which take and
     put honour on any layout.  The form is described in the module docstring.
     """
-    log_alpha = _log_or_neg_inf(alpha)
-    log_beta = _log_or_neg_inf(beta)
     z_t = Z.take(at_t)
 
     # one work array holds P's values, then N's, then each entry's cell max,
@@ -201,6 +206,28 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
     np.copyto(work, set_masks)
     sum_p = np.einsum("ij,ij->i", e, work)
     sum_n = np.einsum("ij,ij->i", e, np.subtract(1.0, work, out=work))
+    losses, terms, grad = _pool(z_t, max_p, sum_p, max_n, sum_n, alpha, beta, want_grad)
+    if not want_grad:
+        return losses, None, terms
+    coef_p, coef_n, at_target = grad
+    # the gradient is built in e; each entry takes its own cell's coefficient
+    # (coef_p + mask * (coef_n - coef_p) would round coef_n away when it is
+    # far below coef_p)
+    np.copyto(work, coef_n[:, None])
+    np.copyto(work, coef_p[:, None], where=set_masks)
+    e *= work
+    e.put(at_t, at_target)
+    return losses, e, terms
+
+
+def _pool(z_t, max_p, sum_p, max_n, sum_n, alpha: float, beta: float, want_grad: bool):
+    """Per-sample losses and pooled terms from each row's target logit and its
+    two cells' maxima and exp sums (an empty cell has max -inf and sum 0), and,
+    if ``want_grad``, the coefficients of P's and N's exps and the target's
+    gradient entry, each before the division by B; else None.
+    """
+    log_alpha = _log_or_neg_inf(alpha)
+    log_beta = _log_or_neg_inf(beta)
     with np.errstate(divide="ignore"):
         lse_p = max_p + np.log(sum_p)
         lse_n = max_n + np.log(sum_n)
@@ -222,7 +249,7 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
         "loss": losses,
     }
     if not want_grad:
-        return losses, None, terms
+        return losses, terms, None
 
     # With total = e^loss: d(e^a)/dz_c = alpha e^(z_c - z_t) off the target,
     # and d(e^b)/dz_c = beta e^(z_c - lse_s) on N but -e^(b + z_c - lse_s) on
@@ -233,14 +260,7 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
     log_b = term_b - losses - lse_s
     coef_p = np.exp(np.minimum(log_a + max_p, 0.0)) - np.exp(np.minimum(log_b + max_p, 0.0))
     coef_n = np.exp(np.minimum(log_a + max_n, 0.0)) + np.exp(np.minimum(log_beta - lse_s - losses + max_n, 0.0))
-    # the gradient is built in e; each entry takes its own cell's coefficient
-    # (coef_p + mask * (coef_n - coef_p) would round coef_n away when it is
-    # far below coef_p)
-    np.copyto(work, coef_n[:, None])
-    np.copyto(work, coef_p[:, None], where=set_masks)
-    e *= work
-    e.put(at_t, -np.exp(term_a - losses) - np.exp(log_b + z_t))
-    return losses, e, terms
+    return losses, terms, (coef_p, coef_n, -np.exp(term_a - losses) - np.exp(log_b + z_t))
 
 
 def loss_from_logits(z, target: int, q, params: LossParams) -> LossBreakdown:
@@ -311,11 +331,24 @@ def _validate_batch(Z, targets, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (Z, *_gather_sets(q, targets))
 
 
+def _mean(losses: np.ndarray) -> float:
+    """The sum of a batch's losses over B, or the sum of their quotients when
+    that overflows, so a mean of finite losses is finite."""
+    B = len(losses)
+    # B losses of at most max / 2B sum far below max, so the errstate, most of
+    # this function's time, is entered only for larger ones
+    if np.maximum.reduce(losses) <= sys.float_info.max / (2 * B):
+        return float(np.add.reduce(losses)) / B
+    with np.errstate(over="ignore"):
+        mean = float(np.add.reduce(losses)) / B
+    return mean if math.isfinite(mean) else float(np.add.reduce(losses / B))
+
+
 def batch_loss(Z, targets, q, params: LossParams) -> float:
     """Mean loss of a nonempty batch whose per-sample sets are read from the columns of Q."""
     Z, at_t, masks = _validate_batch(Z, targets, q)
     losses, _, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=False)
-    return float(losses.sum()) / Z.shape[0]
+    return _mean(losses)
 
 
 # bytes of logits per kernel block in batch_loss_and_grad
@@ -325,8 +358,11 @@ _GRAD_BLOCK_BYTES = 500_000
 def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
     """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B.
 
-    A batch of ``2 * _GRAD_BLOCK_BYTES`` or more of logits runs the kernel in
-    equal row blocks, each building its gradient in its rows of the result.
+    A batch of ``2 * _GRAD_BLOCK_BYTES`` or more of logits is taken in equal
+    row blocks, each building its gradient in its rows of the result; if it
+    has two or more classes and each row an empty P or N, with one max, exp
+    sum and coefficient per row (:func:`_single_cell_exps`) and the kernel's
+    bits.  The mean is finite whenever every loss is.
     """
     Z, at_t, masks = _validate_batch(Z, targets, q)
     B, C = Z.shape
@@ -334,14 +370,63 @@ def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.nd
     if blocks < 2:
         losses, grads, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
         grads /= B
-        return float(losses.sum()) / B, grads
+        return _mean(losses), grads
     height = -(-B // blocks)
-    losses, grads = np.empty(B), np.empty((B, C))
+    row_blocks = [slice(lo, lo + height) for lo in range(0, B, height)]
+    grads = np.empty((B, C))
+    full = _full_rows(masks)
+    if full is None:
+        losses = np.empty(B)
+    else:
+        losses, coef, at_target = _single_cell_exps(Z, full, at_t, params, grads, row_blocks)
     # x * (1 / B) rounds the same real number as x / B when B is a power of two, and is cheaper
     scale, by = (np.multiply, 1.0 / B) if B & (B - 1) == 0 else (np.divide, B)
-    for lo in range(0, B, height):
-        rows = slice(lo, lo + height)
-        block = grads[rows]
-        losses[rows], _, _ = _kernel(Z[rows], masks[rows], at_t[rows] - lo * C, params.alpha, params.beta, True, block)
+    for rows in row_blocks:
+        block, at = grads[rows], at_t[rows] - rows.start * C
+        if full is None:
+            losses[rows], _, _ = _kernel(Z[rows], masks[rows], at, params.alpha, params.beta, True, block)
+        else:
+            block *= coef[rows, None]
+            block.put(at, at_target[rows])
         scale(block, by, out=block)
-    return float(losses.sum()) / B, grads
+    return _mean(losses), grads
+
+
+def _full_rows(masks: np.ndarray) -> np.ndarray | None:
+    """Which rows hold all C classes (N empty), if every other row holds its
+    target alone (P empty) and C >= 2; else None."""
+    B, C = masks.shape
+    # each row holds 1 to C classes, so the count is B plus C - 1 per full row
+    # iff every other row holds 1; row 0 alone rules most other batches out
+    if C < 2 or np.count_nonzero(masks[0]) not in (1, C):
+        return None
+    full = masks.all(axis=1)
+    return full if np.count_nonzero(masks) == B + (C - 1) * np.count_nonzero(full) else None
+
+
+def _single_cell_exps(Z, full, at_t, params: LossParams, grads, row_blocks):
+    """Per-sample losses, gradient coefficients and target entries of a batch
+    whose rows have one non-target cell each, P on ``full`` rows and N on the
+    others, with each block's shifted exps made in its rows of ``grads``.
+
+    The values are :func:`_kernel`'s: its max of the one cell is over the
+    same entries, and its 0/1 mask differs from ``ones`` only at the target,
+    where the exp is 0; a broadcast ``ones`` or ``e.sum(axis=1)`` would sum
+    in another order.
+    """
+    B, C = Z.shape
+    cell_max, cell_sum = np.empty(B), np.empty(B)
+    ones = np.ones((row_blocks[0].stop, C))
+    for rows in row_blocks:
+        e, z, at = grads[rows], Z[rows], at_t[rows] - rows.start * C
+        np.copyto(e, z)
+        e.put(at, -np.inf)
+        cell_max[rows] = _row_max(e)
+        np.subtract(z, cell_max[rows, None], out=e)
+        e.put(at, -np.inf)
+        np.exp(e, out=e)
+        cell_sum[rows] = np.einsum("ij,ij->i", e, ones[: len(e)])
+    max_p, max_n = np.where(full, cell_max, -np.inf), np.where(full, -np.inf, cell_max)
+    sum_p, sum_n = np.where(full, cell_sum, 0.0), np.where(full, 0.0, cell_sum)
+    losses, _, (coef_p, coef_n, at_target) = _pool(Z.take(at_t), max_p, sum_p, max_n, sum_n, params.alpha, params.beta, True)
+    return losses, np.where(full, coef_p, coef_n), at_target

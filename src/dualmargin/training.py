@@ -211,7 +211,8 @@ def train(
     ``test_data`` when given, else on the training features.
 
     Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
-    non-finite weights at the end, or on non-finite evaluation logits.
+    a non-finite epoch loss sum, on non-finite weights at the end, or on
+    non-finite evaluation logits.
     """
     X = data.features
     y = data.training_labels()
@@ -265,6 +266,9 @@ def train(
                 for i, g in enumerate(grads):
                     velocity[i] = cfg.momentum * velocity[i] + g
                     layers[i] -= lr * velocity[i]
+            # a finite batch mean times the batch's size can overflow
+            if not math.isfinite(loss_sum):
+                raise TrainingDivergedError(f"non-finite loss sum {loss_sum!r} at epoch {epoch} (lr={lr:g}, loss={loss})")
             curve.append(loss_sum / n)
     if not all(np.all(np.isfinite(p)) for p in layers):
         raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={loss})")

@@ -10,7 +10,9 @@ flattened logits, which must give the same bits on any memory layout,
 and take their row maxima class-major on narrow rows, which must give
 the bits of the row-wise maxima.  The dual-margin gradient of a wide
 batch is taken in row blocks, which must give the bits of one pass, and
-within a bounded peak of memory.
+within a bounded peak of memory; when every row has an empty P or N, on a
+single-cell path that must give the kernel's bits.  A batch mean whose sum
+overflows must stay finite.
 """
 
 import tracemalloc
@@ -18,7 +20,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualmargin import LossParams, batch_loss_and_grad, loss, sets_from_q, training
+from dualmargin import (
+    LossParams,
+    NoiseSpec,
+    batch_loss_and_grad,
+    build_transition,
+    default_column_sinks,
+    loss,
+    q_from_transition,
+    q_mil,
+    sets_from_q,
+    training,
+)
 from dualmargin.training import _ce_loss_and_grad
 
 
@@ -29,6 +42,11 @@ def layouts(Z):
     wide[:, ::2] = Z
     tall[::2] = Z
     return {"fortran": np.asfortranarray(Z), "column-strided": wide[:, ::2], "row-strided": tall[::2]}
+
+
+def column_q(C, eta):
+    """Q of column noise at rate ``eta`` over C classes, as noise-recovery builds it."""
+    return q_from_transition(build_transition(NoiseSpec(topology="column", eta=eta), C))
 
 
 class TestLogitLayout:
@@ -127,12 +145,14 @@ class TestGradientRowBlocks:
                 assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes(), (weights, height)
                 assert got_grad.tobytes() == want_grad.tobytes(), (weights, height)
 
-    def test_peak_memory_is_the_gradient_and_a_block(self):
+    # a band Q takes the kernel in blocks, column noise the single-cell path
+    @pytest.mark.parametrize("q_kind", ["band", "column"])
+    def test_peak_memory_is_the_gradient_and_a_block(self, q_kind):
         B, C = 128, 4000
         rng = np.random.default_rng(0)
         Z = rng.normal(scale=3.0, size=(B, C))
         targets = rng.integers(0, C, size=B)
-        q = np.eye(C, dtype=bool) | np.eye(C, k=1, dtype=bool)
+        q = np.eye(C, dtype=bool) | np.eye(C, k=1, dtype=bool) if q_kind == "band" else column_q(C, 0.6)
         tracemalloc.start()
         try:
             _, grad = batch_loss_and_grad(Z, targets, q, LossParams(0.3, 5.0))
@@ -140,8 +160,116 @@ class TestGradientRowBlocks:
         finally:
             tracemalloc.stop()
         # the (B, C) gradient, which each block builds its exps in, the masks
-        # and one block's work array; one pass holds three (B, C) float arrays
+        # and one block's work array or ones; one pass holds three (B, C) float arrays
         assert peak <= grad.nbytes + (5 << 19)
+
+
+class TestSingleCellGradient:
+    """Wide batches whose every row has an empty P or an empty N take one max,
+    one exp sum and one coefficient per row, with the kernel's bits."""
+
+    @staticmethod
+    def batches(eta, C):
+        """Q of column noise at ``eta`` (the MIL Q if None) and target vectors
+        of 98 rows: all P-empty, all N-empty, and mixed."""
+        if eta is None:
+            q, sinks = q_mil(), [1]
+        else:
+            q, sinks = column_q(C, eta), list(default_column_sinks(C))
+        others = [c for c in range(C) if c not in sinks]
+        rng = np.random.default_rng(C)
+        return q, {
+            "p-empty": rng.choice(others, size=98),
+            "n-empty": rng.choice(sinks, size=98),
+            "mixed": rng.integers(0, C, size=98),
+        }
+
+    @staticmethod
+    def spying(monkeypatch):
+        calls = []
+        kernel = loss._kernel
+
+        def recording(*args, **kwargs):
+            calls.append(len(args[0]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(loss, "_kernel", recording)
+        return calls
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "column-strided", "row-strided"])
+    @pytest.mark.parametrize("eta,C", [(0.6, 17), (1.0, 17), (0.6, 40), (1.0, 40), (None, 2)])
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0, 1e300])
+    def test_gives_the_bits_of_the_kernel(self, monkeypatch, layout, eta, C, scale):
+        rng = np.random.default_rng(C)
+        Z = rng.normal(scale=scale, size=(98, C))
+        Z[:, 0], Z[:, 1] = 0.0, -0.0
+        logits = Z if layout == "c" else layouts(Z)[layout]
+        q, batches = self.batches(eta, C)
+        calls = self.spying(monkeypatch)
+        for kind, targets in batches.items():
+            for weights in [(0.3, 5.0), (0.0, 1.0), (1.0, 0.0)]:
+                params = LossParams(*weights)
+                monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * 98 * C)
+                want_loss, want_grad = batch_loss_and_grad(logits, targets, q, params)
+                assert calls == [98]
+                # 14 blocks of 7 rows, and 2 of 49
+                for height in [7, 49]:
+                    monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * height * C)
+                    calls.clear()
+                    got_loss, got_grad = batch_loss_and_grad(logits, targets, q, params)
+                    assert calls == [], (kind, weights, height)
+                    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes(), (kind, weights, height)
+                    assert got_grad.tobytes() == want_grad.tobytes(), (kind, weights, height)
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_a_real_wide_batch_gives_the_bits_of_the_kernel(self, monkeypatch, eta):
+        B, C = 128, 1000
+        rng = np.random.default_rng(1)
+        Z = rng.normal(scale=3.0, size=(B, C))
+        targets = rng.integers(0, C, size=B)
+        targets[:2] = default_column_sinks(C)
+        q = column_q(C, eta)
+        calls = self.spying(monkeypatch)
+        got_loss, got_grad = batch_loss_and_grad(Z, targets, q, LossParams(0.1, 10.0))
+        assert calls == []
+        monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * B * C)
+        want_loss, want_grad = batch_loss_and_grad(Z, targets, q, LossParams(0.1, 10.0))
+        assert calls == [B]
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("general", ["column-0.1-sink", "one-partial-column"])
+    def test_one_general_row_sends_the_batch_to_the_kernel(self, monkeypatch, general):
+        C = 40
+        q, batches = self.batches(0.6, C)
+        targets = batches["mixed"].copy()
+        if general == "column-0.1-sink":
+            # at eta 0.1 a sink's column holds every class but the other sink
+            q = column_q(C, 0.1)
+            targets[:97] = batches["p-empty"][:97]
+            targets[97] = default_column_sinks(C)[0]
+        else:
+            q = q.copy()
+            targets[50] = batches["p-empty"][0]
+            q[:5, targets[50]] = True
+        monkeypatch.setattr(loss, "_GRAD_BLOCK_BYTES", 8 * 49 * C)
+        calls = self.spying(monkeypatch)
+        batch_loss_and_grad(np.random.default_rng(0).normal(size=(98, C)), targets, q, LossParams(0.3, 5.0))
+        assert calls == [49, 49]
+
+
+class TestFiniteBatchMean:
+    def test_losses_whose_sum_overflows_have_a_finite_mean(self):
+        Z = np.tile([1e307, -1e307, 0.0], (16, 1))
+        targets = np.ones(16, dtype=int)
+        q = np.eye(3, dtype=bool)
+        params = LossParams(0.3, 5.0)
+        row = loss.loss_from_logits(Z[0], 1, q, params).loss
+        assert np.finfo(float).max / 16 < row < np.inf  # 16 rows sum past the float range
+        with np.errstate(all="raise", under="ignore"):
+            mean, grad = batch_loss_and_grad(Z, targets, q, params)
+            assert mean == row == loss.batch_loss(Z, targets, q, params)
+        assert np.isfinite(grad).all()
 
 
 mp = pytest.importorskip("mpmath")

@@ -114,6 +114,14 @@ class TestTraining:
                 train(data, np.eye(4, dtype=bool), cfg)
         assert np.geterr() == before
 
+    def test_an_epoch_loss_sum_past_the_float_range_raises(self, monkeypatch):
+        # finite batch means whose sum over the epoch's samples overflows
+        data = make_gaussian_mixture(4, dim=3, n_per_class=10, class_separation=4.0, seed=0)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16, seed=0, loss_params=LossParams(0.5, 5.0))
+        monkeypatch.setattr(training, "batch_loss_and_grad", lambda logits, *_: (1e308, np.zeros_like(logits)))
+        with pytest.raises(TrainingDivergedError, match=r"non-finite loss sum inf at epoch 0 \(lr=0.1, "):
+            train(data, np.eye(4, dtype=bool), cfg)
+
     def test_dual_margin_requires_q(self):
         data, _ = separable_mixture()
         cfg = TrainConfig(

@@ -24,15 +24,17 @@ architectures and schedules, every noise topology at C = 10 and at
 C = 1000 (block superclass noise there with groups of 8 and of 100), a
 sweep at C = 1000, column noise at C = 3000 (every training batch spans
 several of ``batch_loss_and_grad``'s row blocks, and the last batch is
-shorter), mixtures whose class count equals their dimension (every
-distance between class means ties) and of dimension 64 (means in Fortran
-order), a mixture at ``class_separation`` 0 (every class mean at the
-origin), MIL bags at ``positive_instance_rate`` 0.01 (positive bags whose
-one positive instance is forced) and 1.0 (no negative instance in a
-positive bag, so that recall is ``null``), the CLI's seed and weight
-flags, and diverging runs whose ``failures`` text is an artifact: 108
-files in all.  A whole run takes about a minute on a 2-core host, most
-of it the default sweep.
+shorter), column noise at C = 4000 and eta 0.1 in batches of 32 (1 MB of
+logits each: the 6 batches with no sink label take the single-cell
+gradient, the 119 with one take the kernel), mixtures whose class count
+equals their dimension (every distance between class means ties) and of
+dimension 64 (means in Fortran order), a mixture at ``class_separation``
+0 (every class mean at the origin), MIL bags at
+``positive_instance_rate`` 0.01 (positive bags whose one positive
+instance is forced) and 1.0 (no negative instance in a positive bag, so
+that recall is ``null``), the CLI's seed and weight flags, and diverging
+runs whose ``failures`` text is an artifact: 111 files in all.  A whole
+run takes about a minute on a 2-core host, most of it the default sweep.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ _MIXTURE = {"seeds": [0], "dataset": {"n_per_class": 20, "n_test_per_class": 20}
 _MLP1 = {"architecture": "mlp1", "hidden_units": 8, "lr_schedule": "constant"}
 # the C = 1000 runs: the sweep's, and noise-recovery's under each topology but column
 _WIDE = {"seeds": [0, 1], "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2}, "train": {"epochs": 1}}
+# every batch is 1 MB of logits; one with no sink label has a single non-target
+# cell per row, while a sink label keeps both cells at eta 0.1
+_NOISE_WIDE_MIXED = {
+    "seeds": [0],
+    "dataset": {"class_count": 4000, "n_per_class": 1, "n_test_per_class": 1},
+    "noise": {"topology": "column", "eta": 0.1},
+    "train": {"epochs": 1, "batch_size": 32},
+}
 _DIVERGING = {"seeds": [0, 1], "dataset": {"n_per_class": 20, "n_test_per_class": 20}, "train": {"epochs": 2, "learning_rate": 1e308}}
 
 
@@ -95,6 +105,7 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-wide-block-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 8}), []),
         ("noise-wide-block-superclass-100", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 100}), []),
         ("noise-wide-3000", "noise-recovery", _merged(_WIDE, dataset={"class_count": 3000, "n_per_class": 1, "n_test_per_class": 1}), []),
+        ("noise-wide-mixed", "noise-recovery", _NOISE_WIDE_MIXED, []),
         ("sweep-diverging", "sweep", _merged(_DIVERGING, sweep={"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]}), []),
         ("noise-recovery-diverging", "noise-recovery", _DIVERGING, []),
     ]
