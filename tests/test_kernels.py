@@ -238,7 +238,7 @@ class TestSingleCellGradient:
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         assert got_grad.tobytes() == want_grad.tobytes()
 
-    @pytest.mark.parametrize("general", ["column-0.1-sink", "one-partial-column"])
+    @pytest.mark.parametrize("general", ["column-0.1-sink", "column-0.1-39-sinks", "one-partial-column"])
     def test_one_general_row_sends_the_batch_to_the_kernel(self, monkeypatch, general):
         C = 40
         q, batches = self.batches(0.6, C)
@@ -248,6 +248,12 @@ class TestSingleCellGradient:
             q = column_q(C, 0.1)
             targets[:97] = batches["p-empty"][:97]
             targets[97] = default_column_sinks(C)[0]
+        elif general == "column-0.1-39-sinks":
+            # 39 sinks hold 39 * 38 classes besides their targets, a multiple
+            # of C - 1, as if 38 rows held all C
+            q = column_q(C, 0.1)
+            targets[:59] = batches["p-empty"][:59]
+            targets[59:] = batches["n-empty"][:39]
         else:
             q = q.copy()
             targets[50] = batches["p-empty"][0]
@@ -266,7 +272,8 @@ class TestFiniteBatchMean:
         params = LossParams(0.3, 5.0)
         row = loss.loss_from_logits(Z[0], 1, q, params).loss
         assert np.finfo(float).max / 16 < row < np.inf  # 16 rows sum past the float range
-        with np.errstate(all="raise", under="ignore"):
+        # the plain sum overflows, as train, which ignores overflow, sees it
+        with np.errstate(all="raise", over="ignore", under="ignore"):
             mean, grad = batch_loss_and_grad(Z, targets, q, params)
             assert mean == row == loss.batch_loss(Z, targets, q, params)
         assert np.isfinite(grad).all()
