@@ -12,7 +12,10 @@ against each other at the trajectory level.
 
 A training run is sequential and bitwise deterministic for a fixed seed:
 initialization and shuffling draw from one seeded generator in a fixed
-order.  Independent runs are safe to execute in parallel.
+order.  Independent runs are safe to execute in parallel.  A run keeps its
+layers, their gradients and their momentum each in one flat array, so a
+step updates every layer with three whole-array operations; the layers of
+the model it returns are views of one array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import LossParams, _row_max, batch_loss_and_grad, sets_from_q, softmax
+from .loss import LossParams, _mean, _row_max, batch_loss_and_grad, sets_from_q, softmax
 
 __all__ = [
     "ModelParams",
@@ -171,22 +174,29 @@ def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     z_t = grad.take(at_t)
     np.exp(grad, out=grad)
     total = grad.sum(axis=1)
-    loss = float((np.log(total) - z_t).sum()) / B
+    loss = _mean(np.log(total) - z_t)
     grad /= (total * B)[:, None]
     grad.put(at_t, grad.take(at_t) - 1.0 / B)
     return loss, grad
 
 
-def _backward(model: ModelParams, inputs: list[np.ndarray], grad: np.ndarray) -> list[np.ndarray]:
-    """Gradients in the order of ``model.weights + model.biases``, from the logits' ``grad``."""
+def _backward(model: ModelParams, inputs: list[np.ndarray], grad: np.ndarray, out=None) -> list[np.ndarray]:
+    """Gradients in the order of ``model.weights + model.biases``, from the logits' ``grad``:
+    into the arrays of ``out`` when it is given, else into new ones."""
     L = len(model.weights)
-    grads = [None] * (2 * L)
+    grads = [None] * (2 * L) if out is None else out
     for i in reversed(range(L)):
-        grads[i] = inputs[i].T @ grad
-        grads[L + i] = grad.sum(axis=0)
+        grads[i] = np.matmul(inputs[i].T, grad, out=grads[i])
+        grads[L + i] = np.add.reduce(grad, axis=0, out=grads[L + i])
         if i:
             grad = (grad @ model.weights[i].T) * (1.0 - inputs[i] ** 2)
     return grads
+
+
+def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, shaped as ``arrays`` in order."""
+    ends = np.cumsum([a.size for a in arrays])
+    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -212,7 +222,8 @@ def train(
 
     Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
     a non-finite epoch loss sum, on non-finite weights at the end, or on
-    non-finite evaluation logits.
+    non-finite evaluation logits.  The returned model's weights and biases
+    are views of one flat array, in the order ``weights + biases``.
     """
     X = data.features
     y = data.training_labels()
@@ -233,8 +244,14 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     hidden = [cfg.hidden_units] if cfg.architecture == "mlp1" else []
     model = init_model([X.shape[1], *hidden, C], rng)
-    layers = model.weights + model.biases  # each array is updated in place
-    velocity = [np.zeros_like(p) for p in layers]
+    layers = model.weights + model.biases
+    flat = np.concatenate([p.ravel() for p in layers])
+    views = _views(flat, layers)
+    L = len(model.weights)
+    model.weights, model.biases = views[:L], views[L:]
+    grads = np.empty_like(flat)
+    grad_views = _views(grads, layers)
+    velocity = np.zeros_like(flat)
 
     curve: list[float] = []
     # divergence is reported below, or by the weight check after the loop
@@ -245,7 +262,7 @@ def train(
             loss_sum = 0.0
             for lo in range(0, n, cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
-                Xb, yb = X[sel], y[sel]
+                Xb, yb = X.take(sel, axis=0), y.take(sel)
                 logits, inputs = _forward(model, Xb)
                 if not np.isfinite(logits).all():
                     raise TrainingDivergedError(
@@ -261,16 +278,15 @@ def train(
                         f"(lr={lr:g}, loss={loss})"
                     )
                 loss_sum += loss_value * len(sel)
-                # kept until the next step's list replaces it: freeing it sooner raised peak RSS
-                grads = _backward(model, inputs, grad_logits)
-                for i, g in enumerate(grads):
-                    velocity[i] = cfg.momentum * velocity[i] + g
-                    layers[i] -= lr * velocity[i]
+                _backward(model, inputs, grad_logits, out=grad_views)
+                velocity *= cfg.momentum
+                velocity += grads
+                flat -= lr * velocity
             # a finite batch mean times the batch's size can overflow
             if not math.isfinite(loss_sum):
                 raise TrainingDivergedError(f"non-finite loss sum {loss_sum!r} at epoch {epoch} (lr={lr:g}, loss={loss})")
             curve.append(loss_sum / n)
-    if not all(np.all(np.isfinite(p)) for p in layers):
+    if not np.isfinite(flat).all():
         raise TrainingDivergedError(f"non-finite weights after the last epoch (lr={lr:g}, loss={loss})")
 
     report = evaluate(model, test_data if test_data is not None else data, q=q)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from dualmargin import ConfusionCounts, TransitionMatrix
+from dualmargin import ConfusionCounts, TransitionMatrix, batch_loss_and_grad
+from dualmargin.training import _backward, _ce_loss_and_grad, _epoch_lr, _forward, init_model
 
 
 def dense_transition(t: TransitionMatrix) -> np.ndarray:
@@ -66,3 +67,38 @@ def per_class_corrupt_labels(clean, transition: TransitionMatrix, u: np.ndarray)
         # a draw past a row's total takes the row's last nonzero class
         out[group] = columns[lo:hi][np.minimum(drawn, hi - lo - 1)]
     return out
+
+
+def per_layer_sgd(data, q, cfg) -> tuple[list[np.ndarray], list[float]]:
+    """The layers, in ``weights + biases`` order, and the train curve of ``train``'s run of ``cfg``.
+
+    Each step gathers its batch by fancy indexing, takes a new gradient
+    list from ``_backward`` and updates each layer and its velocity with
+    its own numpy calls, where ``train`` updates one flat array.
+    """
+    X, y = data.features, data.training_labels()
+    n = X.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    hidden = [cfg.hidden_units] if cfg.architecture == "mlp1" else []
+    model = init_model([X.shape[1], *hidden, data.class_count], rng)
+    layers = model.weights + model.biases
+    velocity = [np.zeros_like(p) for p in layers]
+    q = None if q is None else np.asfortranarray(q, dtype=bool)
+    curve = []
+    for epoch in range(cfg.epochs):
+        lr = _epoch_lr(cfg, epoch)
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            sel = order[lo : lo + cfg.batch_size]
+            logits, inputs = _forward(model, X[sel])
+            if cfg.loss_params is None:
+                value, grad = _ce_loss_and_grad(logits, y[sel])
+            else:
+                value, grad = batch_loss_and_grad(logits, y[sel], q, cfg.loss_params)
+            loss_sum += value * len(sel)
+            for i, g in enumerate(_backward(model, inputs, grad)):
+                velocity[i] = cfg.momentum * velocity[i] + g
+                layers[i] -= lr * velocity[i]
+        curve.append(loss_sum / n)
+    return layers, curve

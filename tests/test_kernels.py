@@ -11,8 +11,8 @@ and take their row maxima class-major on narrow rows, which must give
 the bits of the row-wise maxima.  The dual-margin gradient of a wide
 batch is taken in row blocks, which must give the bits of one pass, and
 within a bounded peak of memory; when every row has an empty P or N, on a
-single-cell path that must give the kernel's bits.  A batch mean whose sum
-overflows must stay finite.
+single-cell path that must give the kernel's bits.  A batch mean of
+either loss whose sum overflows must stay finite.
 """
 
 import tracemalloc
@@ -276,6 +276,16 @@ class TestFiniteBatchMean:
         with np.errstate(all="raise", over="ignore", under="ignore"):
             mean, grad = batch_loss_and_grad(Z, targets, q, params)
             assert mean == row == loss.batch_loss(Z, targets, q, params)
+        assert np.isfinite(grad).all()
+
+    def test_cross_entropy_losses_whose_sum_overflows_have_a_finite_mean(self):
+        Z = np.tile([1e307, -1e307, 0.0], (16, 1))
+        targets = np.ones(16, dtype=int)
+        row, _ = _ce_loss_and_grad(Z[:1], targets[:1])
+        assert np.finfo(float).max / 16 < row < np.inf
+        with np.errstate(all="raise", over="ignore", under="ignore"):
+            mean, grad = _ce_loss_and_grad(Z, targets)
+        assert mean == row
         assert np.isfinite(grad).all()
 
 

@@ -24,7 +24,7 @@ from dualmargin import (
 from dualmargin import training
 from dualmargin.loss import batch_loss, sets_from_q
 from dualmargin.training import _backward, _forward, init_model, predict_logits
-from helpers import counts_from_dense, dense_counts
+from helpers import counts_from_dense, dense_counts, per_layer_sgd
 
 
 def same_group(groups):
@@ -177,6 +177,44 @@ class TestBackprop:
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - grad.ravel()[k]) < 1e-6 * max(1.0, abs(fd))
+
+
+class TestFlatStep:
+    """train keeps the layers, gradients and momentum in flat arrays; each bit is the per-layer loop's."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("lr_schedule", ["constant", "cosine"])
+    @pytest.mark.parametrize("loss_params", [None, LossParams(0.3, 5.0)])
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_train_has_the_bits_of_the_per_layer_loop(self, architecture, loss_params, lr_schedule, momentum):
+        # 100 samples in batches of 32: the last batch holds 4
+        data = make_gaussian_mixture(4, dim=3, n_per_class=25, class_separation=3.0, seed=5)
+        q = same_group([0, 0, 1, 1])
+        cfg = TrainConfig(
+            learning_rate=0.2, epochs=3, batch_size=32, seed=4, momentum=momentum, loss_params=loss_params,
+            lr_schedule=lr_schedule, architecture=architecture, hidden_units=6,
+        )
+        model, report = train(data, q, cfg)
+        want_layers, want_curve = per_layer_sgd(data, q, cfg)
+        layers = model.weights + model.biases
+        assert [p.tobytes() for p in layers] == [p.tobytes() for p in want_layers]
+        assert report.train_curve == want_curve
+        flat = layers[0].base
+        assert flat is not None and all(p.base is flat for p in layers)
+
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_backward_into_views_has_the_bits_of_new_arrays(self, architecture):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(9, 3))
+        model = init_model([3, 4] if architecture == "linear" else [3, 5, 4], rng)
+        logits, inputs = _forward(model, X)
+        grad = rng.normal(size=logits.shape)
+        layers = model.weights + model.biases
+        out = training._views(np.full(sum(p.size for p in layers), np.nan), layers)
+        views = list(out)
+        grads = _backward(model, inputs, grad, out=out)
+        assert grads is out and all(g is v for g, v in zip(grads, views))
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in _backward(model, inputs, grad)]
 
 
 class TestQLayout:

@@ -20,7 +20,9 @@ on each tree, emptying ROOT in between, and ``diff`` the two listings:
 
 Progress lines of the runs go to stderr.  The list covers every family
 at its default and at a tiny config, the benchmark's workloads, both
-architectures and schedules, every noise topology at C = 10 and at
+architectures and schedules, a tiny toy2d under ``mlp1`` at momentum 0
+with a cosine schedule (240 samples in batches of 128, so the last batch
+is shorter), every noise topology at C = 10 and at
 C = 1000 (block superclass noise there with groups of 8 and of 100), a
 sweep at C = 1000, column noise at C = 3000 (every training batch spans
 several of ``batch_loss_and_grad``'s row blocks, and the last batch is
@@ -33,7 +35,7 @@ dimension 64 (means in Fortran order), a mixture at ``class_separation``
 ``positive_instance_rate`` 0.01 (positive bags whose one positive
 instance is forced) and 1.0 (no negative instance in a positive bag, so
 that recall is ``null``), the CLI's seed and weight flags, and diverging
-runs whose ``failures`` text is an artifact: 111 files in all.  A whole
+runs whose ``failures`` text is an artifact: 116 files in all.  A whole
 run takes about a minute on a 2-core host, most of it the default sweep.
 """
 
@@ -58,6 +60,8 @@ TINY = {
 # a small mixture for the noise layouts, the other architecture and divergence
 _MIXTURE = {"seeds": [0], "dataset": {"n_per_class": 20, "n_test_per_class": 20}, "train": {"epochs": 2}}
 _MLP1 = {"architecture": "mlp1", "hidden_units": 8, "lr_schedule": "constant"}
+# momentum 0 under the families' cosine schedule
+_MLP1_MOMENTUM_0 = {**_MLP1, "momentum": 0.0, "lr_schedule": "cosine"}
 # the C = 1000 runs: the sweep's, and noise-recovery's under each topology but column
 _WIDE = {"seeds": [0, 1], "dataset": {"class_count": 1000, "n_per_class": 2, "n_test_per_class": 2}, "train": {"epochs": 1}}
 # every batch is 1 MB of logits; one with no sink label has a single non-target
@@ -88,6 +92,7 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("bench-toy2d", "toy2d", _workload("toy2d"), ["--seed", "0"]),
         ("bench-wide-noise-seeds-0-2", "noise-recovery", {**_workload("wide-noise"), "seeds": [0, 1, 2]}, []),
         ("toy2d-mlp1-constant", "toy2d", _merged(TINY["toy2d"], train=_MLP1), []),
+        ("toy2d-mlp1-momentum-0", "toy2d", _merged(TINY["toy2d"], train=_MLP1_MOMENTUM_0), []),
         ("noise-recovery-mlp1-constant", "noise-recovery", _merged(_MIXTURE, train=_MLP1), []),
         ("noise-asymmetric-pairs", "noise-recovery", _merged(_MIXTURE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[9, 1], [2, 0], [3, 5], [4, 7]]}), []),
         ("noise-cyclic-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 5}), []),
