@@ -411,21 +411,23 @@ def _single_cell_exps(Z, full, at_t, params: LossParams, grads, row_blocks):
 
     The values are :func:`_kernel`'s: its max of the one cell is over the
     same entries, and its 0/1 mask differs from ``ones`` only at the target,
-    where the exp is 0; a broadcast ``ones`` or ``e.sum(axis=1)`` would sum
-    in another order.
+    where the exp is 0.  einsum sums a row against the 1-D ``ones`` with the
+    loop it takes for a row of the kernel's 2-D mask, both operands
+    contiguous; a broadcast (stride-0) ``ones`` or ``e.sum(axis=1)`` would
+    sum in another order.
     """
     B, C = Z.shape
     cell_max, cell_sum = np.empty(B), np.empty(B)
-    ones = np.ones((row_blocks[0].stop, C))
+    ones = np.ones(C)
     for rows in row_blocks:
         e, z, at = grads[rows], Z[rows], at_t[rows] - rows.start * C
         np.copyto(e, z)
         e.put(at, -np.inf)
         cell_max[rows] = _row_max(e)
-        np.subtract(z, cell_max[rows, None], out=e)
-        e.put(at, -np.inf)
+        # the targets stay -inf
+        e -= cell_max[rows, None]
         np.exp(e, out=e)
-        cell_sum[rows] = np.einsum("ij,ij->i", e, ones[: len(e)])
+        cell_sum[rows] = np.einsum("ij,j->i", e, ones)
     max_p, max_n = np.where(full, cell_max, -np.inf), np.where(full, -np.inf, cell_max)
     sum_p, sum_n = np.where(full, cell_sum, 0.0), np.where(full, 0.0, cell_sum)
     losses, _, (coef_p, coef_n, at_target) = _pool(Z.take(at_t), max_p, sum_p, max_n, sum_n, params.alpha, params.beta, True)

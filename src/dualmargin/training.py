@@ -14,8 +14,14 @@ A training run is sequential and bitwise deterministic for a fixed seed:
 initialization and shuffling draw from one seeded generator in a fixed
 order.  Independent runs are safe to execute in parallel.  A run keeps its
 layers, their gradients and their momentum each in one flat array, so a
-step updates every layer with three whole-array operations; the layers of
-the model it returns are views of one array.
+step updates every layer with three whole-array operations.  Each layer is
+one (fan_in + 1, fan_out) block of that array, its weights the first
+fan_in rows and its bias the last, and each layer's input in a step ends in
+a column of ones, so a layer's forward is one matrix product with its block
+and its gradient, weights and bias together, one more.  Prediction adds
+each bias after its product instead, so an evaluation does not depend on
+how a run was trained; the layers of the model a run returns are the rows
+of its blocks.
 """
 
 from __future__ import annotations
@@ -55,7 +61,13 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ModelParams:
-    """Weights (in, out) and biases per layer, input layer first; tanh follows all but the last."""
+    """Weights (in, out) and biases per layer, input layer first; tanh follows all but the last.
+
+    Any arrays of those shapes make a model.  In a model :func:`train`
+    returns, each layer's weights and bias are the rows of one (in + 1, out)
+    block of one flat array, the bias last, and the blocks follow each other
+    in layer order.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -142,21 +154,26 @@ def init_model(widths, rng: np.random.Generator) -> ModelParams:
     return ModelParams(weights=weights, biases=[np.zeros(width) for width in widths[1:]])
 
 
-def _forward(model: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The logits, and the input of each layer."""
-    inputs = [X]
+def predict_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
+    """The logits of the rows of ``X``: each layer's product, then its bias added, tanh between layers."""
+    out = np.asarray(X, dtype=np.float64)
     for i in range(len(model.weights)):
         if i:
-            inputs.append(np.tanh(out, out=out))
+            np.tanh(out, out=out)
         # the bias is added in place: at evaluation a logits array is (n, C)
-        out = inputs[i] @ model.weights[i]
+        out = out @ model.weights[i]
         out += model.biases[i]
-    return out, inputs
+    return out
 
 
-def predict_logits(model: ModelParams, X: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(model, np.asarray(X, dtype=np.float64))
-    return logits
+def _forward(blocks: list[np.ndarray], inputs: list[np.ndarray]) -> np.ndarray:
+    """A training batch's logits: one product per layer of its input, which
+    ends in a column of ones, with its block.  ``inputs[0]`` holds the batch;
+    each hidden layer's tanh is written into the next input's other columns."""
+    for i in range(1, len(blocks)):
+        hidden = np.matmul(inputs[i - 1], blocks[i - 1], out=inputs[i][:, :-1])
+        np.tanh(hidden, out=hidden)
+    return inputs[-1] @ blocks[-1]
 
 
 def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -180,23 +197,22 @@ def _ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     return loss, grad
 
 
-def _backward(model: ModelParams, inputs: list[np.ndarray], grad: np.ndarray, out=None) -> list[np.ndarray]:
-    """Gradients in the order of ``model.weights + model.biases``, from the logits' ``grad``:
-    into the arrays of ``out`` when it is given, else into new ones."""
-    L = len(model.weights)
-    grads = [None] * (2 * L) if out is None else out
-    for i in reversed(range(L)):
+def _backward(blocks: list[np.ndarray], inputs: list[np.ndarray], grad: np.ndarray, out=None) -> list[np.ndarray]:
+    """Each block's gradient from the logits' ``grad``, its weights' and bias's
+    in one product with the layer's input: into the arrays of ``out`` when it
+    is given, else into new ones."""
+    grads = [None] * len(blocks) if out is None else out
+    for i in reversed(range(len(blocks))):
         grads[i] = np.matmul(inputs[i].T, grad, out=grads[i])
-        grads[L + i] = np.add.reduce(grad, axis=0, out=grads[L + i])
         if i:
-            grad = (grad @ model.weights[i].T) * (1.0 - inputs[i] ** 2)
+            grad = (grad @ blocks[i][:-1].T) * (1.0 - inputs[i][:, :-1] ** 2)
     return grads
 
 
-def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, shaped as ``arrays`` in order."""
-    ends = np.cumsum([a.size for a in arrays])
-    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+def _blocks(flat: np.ndarray, model: ModelParams) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one (fan_in + 1, fan_out) block per layer of ``model``."""
+    chunks = np.split(flat, np.cumsum([w.size + w.shape[1] for w in model.weights])[:-1])
+    return [chunk.reshape(-1, w.shape[1]) for chunk, w in zip(chunks, model.weights)]
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -222,8 +238,10 @@ def train(
 
     Raises :class:`TrainingDivergedError` on non-finite logits or loss, on
     a non-finite epoch loss sum, on non-finite weights at the end, or on
-    non-finite evaluation logits.  The returned model's weights and biases
-    are views of one flat array, in the order ``weights + biases``.
+    non-finite evaluation logits.  The returned model's layers are
+    consecutive blocks of one flat array, each (fan_in + 1, fan_out) with
+    the weights in its first rows and the bias in its last, and its
+    ``weights`` and ``biases`` are views of those rows.
     """
     X = data.features
     y = data.training_labels()
@@ -244,14 +262,14 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     hidden = [cfg.hidden_units] if cfg.architecture == "mlp1" else []
     model = init_model([X.shape[1], *hidden, C], rng)
-    layers = model.weights + model.biases
-    flat = np.concatenate([p.ravel() for p in layers])
-    views = _views(flat, layers)
-    L = len(model.weights)
-    model.weights, model.biases = views[:L], views[L:]
+    flat = np.concatenate([np.vstack((w, b)).ravel() for w, b in zip(model.weights, model.biases)])
+    blocks = _blocks(flat, model)
+    model.weights, model.biases = [block[:-1] for block in blocks], [block[-1] for block in blocks]
     grads = np.empty_like(flat)
-    grad_views = _views(grads, layers)
+    grad_blocks = _blocks(grads, model)
     velocity = np.zeros_like(flat)
+    # a batch row of each layer's input, then a 1 that meets the bias row
+    inputs = [np.ones((min(n, cfg.batch_size), block.shape[0])) for block in blocks]
 
     curve: list[float] = []
     # divergence is reported below, or by the weight check after the loop
@@ -262,8 +280,11 @@ def train(
             loss_sum = 0.0
             for lo in range(0, n, cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
-                Xb, yb = X.take(sel, axis=0), y.take(sel)
-                logits, inputs = _forward(model, Xb)
+                batch = [a[: len(sel)] for a in inputs]
+                # np.take into a strided out= buffers a copy of its own, more slowly
+                np.copyto(batch[0][:, :-1], X.take(sel, axis=0))
+                yb = y.take(sel)
+                logits = _forward(blocks, batch)
                 if not np.isfinite(logits).all():
                     raise TrainingDivergedError(
                         f"non-finite logits at epoch {epoch}, batch offset {lo} (lr={lr:g})"
@@ -278,7 +299,7 @@ def train(
                         f"(lr={lr:g}, loss={loss})"
                     )
                 loss_sum += loss_value * len(sel)
-                _backward(model, inputs, grad_logits, out=grad_views)
+                _backward(blocks, batch, grad_logits, out=grad_blocks)
                 velocity *= cfg.momentum
                 velocity += grads
                 flat -= lr * velocity

@@ -3,7 +3,7 @@
 import numpy as np
 
 from dualmargin import ConfusionCounts, TransitionMatrix, batch_loss_and_grad
-from dualmargin.training import _backward, _ce_loss_and_grad, _epoch_lr, _forward, init_model
+from dualmargin.training import _ce_loss_and_grad, _epoch_lr, init_model
 
 
 def dense_transition(t: TransitionMatrix) -> np.ndarray:
@@ -72,16 +72,21 @@ def per_class_corrupt_labels(clean, transition: TransitionMatrix, u: np.ndarray)
 def per_layer_sgd(data, q, cfg) -> tuple[list[np.ndarray], list[float]]:
     """The layers, in ``weights + biases`` order, and the train curve of ``train``'s run of ``cfg``.
 
-    Each step gathers its batch by fancy indexing, takes a new gradient
-    list from ``_backward`` and updates each layer and its velocity with
-    its own numpy calls, where ``train`` updates one flat array.
+    Each step gathers its batch by fancy indexing, adds each layer's bias
+    after its product, takes each weight gradient as its own product and
+    each bias gradient as a column sum, and updates each layer and its
+    velocity with its own numpy calls, where ``train`` takes one product per
+    layer each way with the bias as the last row of the layer's block and
+    updates one flat array.
     """
     X, y = data.features, data.training_labels()
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
     hidden = [cfg.hidden_units] if cfg.architecture == "mlp1" else []
     model = init_model([X.shape[1], *hidden, data.class_count], rng)
-    layers = model.weights + model.biases
+    weights, biases = model.weights, model.biases
+    L = len(weights)
+    layers = weights + biases
     velocity = [np.zeros_like(p) for p in layers]
     q = None if q is None else np.asfortranarray(q, dtype=bool)
     curve = []
@@ -91,13 +96,22 @@ def per_layer_sgd(data, q, cfg) -> tuple[list[np.ndarray], list[float]]:
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
-            logits, inputs = _forward(model, X[sel])
+            inputs = [X[sel]]
+            for i in range(L):
+                if i:
+                    inputs.append(np.tanh(logits))
+                logits = inputs[i] @ weights[i] + biases[i]
             if cfg.loss_params is None:
                 value, grad = _ce_loss_and_grad(logits, y[sel])
             else:
                 value, grad = batch_loss_and_grad(logits, y[sel], q, cfg.loss_params)
             loss_sum += value * len(sel)
-            for i, g in enumerate(_backward(model, inputs, grad)):
+            grads = [None] * (2 * L)
+            for i in reversed(range(L)):
+                grads[i], grads[L + i] = inputs[i].T @ grad, grad.sum(axis=0)
+                if i:
+                    grad = (grad @ weights[i].T) * (1.0 - inputs[i] ** 2)
+            for i, g in enumerate(grads):
                 velocity[i] = cfg.momentum * velocity[i] + g
                 layers[i] -= lr * velocity[i]
         curve.append(loss_sum / n)

@@ -23,7 +23,7 @@ from dualmargin import (
 )
 from dualmargin import training
 from dualmargin.loss import batch_loss, sets_from_q
-from dualmargin.training import _backward, _forward, init_model, predict_logits
+from dualmargin.training import _backward, _blocks, _forward, init_model, predict_logits
 from helpers import counts_from_dense, dense_counts, per_layer_sgd
 
 
@@ -31,6 +31,18 @@ def same_group(groups):
     """Q marking the classes of one group as mutually plausible."""
     g = np.asarray(groups)
     return g[:, None] == g[None, :]
+
+
+def folded(model, X):
+    """``model`` rebuilt as ``train`` holds it, each layer one block of one flat
+    array with the bias last, and the blocks and layer inputs of batch ``X``,
+    whose hidden columns ``_forward`` fills."""
+    flat = np.concatenate([np.vstack((w, b)).ravel() for w, b in zip(model.weights, model.biases)])
+    blocks = _blocks(flat, model)
+    model.weights, model.biases = [block[:-1] for block in blocks], [block[-1] for block in blocks]
+    inputs = [np.ones((len(X), block.shape[0])) for block in blocks]
+    inputs[0][:, :-1] = X
+    return blocks, inputs
 
 
 def separable_mixture(seed=0):
@@ -156,17 +168,16 @@ class TestBackprop:
         model = init_model([3, 4] if architecture == "linear" else [3, 5, 4], rng)
 
         def total_loss(m):
-            logits, _ = _forward(m, X)
-            return batch_loss(logits, y, q, params)
+            return batch_loss(predict_logits(m, X), y, q, params)
 
-        logits, inputs = _forward(model, X)
+        blocks, inputs = folded(model, X)
         from dualmargin.loss import batch_loss_and_grad
 
-        _, g_logits = batch_loss_and_grad(logits, y, q, params)
-        grads = _backward(model, inputs, g_logits)
+        _, g_logits = batch_loss_and_grad(_forward(blocks, inputs), y, q, params)
+        grads = _backward(blocks, inputs, g_logits)
 
         h = 1e-6
-        for arr, grad in zip(model.weights + model.biases, grads):
+        for arr, grad in zip(model.weights + model.biases, [g[:-1] for g in grads] + [g[-1] for g in grads]):
             flat = arr.ravel()
             for k in range(flat.size):
                 orig = flat[k]
@@ -207,14 +218,41 @@ class TestFlatStep:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(9, 3))
         model = init_model([3, 4] if architecture == "linear" else [3, 5, 4], rng)
-        logits, inputs = _forward(model, X)
-        grad = rng.normal(size=logits.shape)
-        layers = model.weights + model.biases
-        out = training._views(np.full(sum(p.size for p in layers), np.nan), layers)
+        blocks, inputs = folded(model, X)
+        grad = rng.normal(size=_forward(blocks, inputs).shape)
+        out = _blocks(np.full(sum(block.size for block in blocks), np.nan), model)
         views = list(out)
-        grads = _backward(model, inputs, grad, out=out)
+        grads = _backward(blocks, inputs, grad, out=out)
         assert grads is out and all(g is v for g, v in zip(grads, views))
-        assert [g.tobytes() for g in grads] == [g.tobytes() for g in _backward(model, inputs, grad)]
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in _backward(blocks, inputs, grad)]
+
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_each_layer_is_one_block_with_the_bias_last(self, architecture):
+        data = make_gaussian_mixture(10, dim=16, n_per_class=20, class_separation=3.0, seed=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=1, architecture=architecture, hidden_units=8)
+        model, _ = train(data, None, cfg)
+        flat = model.weights[0].base
+        start = 0
+        for w, b in zip(model.weights, model.biases):
+            assert w.base is flat and b.base is flat and w.flags.c_contiguous
+            block = flat[start : start + w.size + b.size].reshape(-1, b.size)
+            assert block.shape == (w.shape[0] + 1, w.shape[1])
+            for part, rows in ((w, block[:-1]), (b, block[-1])):
+                assert part.__array_interface__ == rows.__array_interface__
+            start += block.size
+        assert start == flat.size
+
+    @pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+    def test_prediction_adds_each_bias_after_its_product(self, architecture):
+        # at these widths a product with the bias folded in rounds some logits otherwise
+        data = make_gaussian_mixture(10, dim=16, n_per_class=20, class_separation=3.0, seed=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=1, architecture=architecture, hidden_units=16)
+        model, _ = train(data, None, cfg)
+        X = data.features
+        want = X @ model.weights[0] + model.biases[0]
+        if architecture == "mlp1":
+            want = np.tanh(want) @ model.weights[1] + model.biases[1]
+        assert predict_logits(model, X).tobytes() == want.tobytes()
 
 
 class TestQLayout:

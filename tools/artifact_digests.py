@@ -23,7 +23,11 @@ at its default and at a tiny config, the benchmark's workloads, both
 architectures and schedules, a tiny toy2d under ``mlp1`` at momentum 0
 with a cosine schedule (240 samples in batches of 128, so the last batch
 is shorter), every noise topology at C = 10 and at
-C = 1000 (block superclass noise there with groups of 8 and of 100), a
+C = 1000 (block superclass noise there with groups of 8 and of 100), an
+``mlp1`` noise-recovery at C = 1000 (its output layer's input and bias row
+make a (128, 65) x (65, 1000) product, and its artifacts differ between
+one OpenBLAS thread and several, so two listings compare only at one
+thread count), a
 sweep at C = 1000, column noise at C = 3000 (every training batch spans
 several of ``batch_loss_and_grad``'s row blocks, and the last batch is
 shorter), column noise at C = 4000 and eta 0.1 in batches of 32 (1 MB of
@@ -35,7 +39,7 @@ dimension 64 (means in Fortran order), a mixture at ``class_separation``
 ``positive_instance_rate`` 0.01 (positive bags whose one positive
 instance is forced) and 1.0 (no negative instance in a positive bag, so
 that recall is ``null``), the CLI's seed and weight flags, and diverging
-runs whose ``failures`` text is an artifact: 116 files in all.  A whole
+runs whose ``failures`` text is an artifact: 119 files in all.  A whole
 run takes about a minute on a 2-core host, most of it the default sweep.
 """
 
@@ -94,6 +98,7 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("toy2d-mlp1-constant", "toy2d", _merged(TINY["toy2d"], train=_MLP1), []),
         ("toy2d-mlp1-momentum-0", "toy2d", _merged(TINY["toy2d"], train=_MLP1_MOMENTUM_0), []),
         ("noise-recovery-mlp1-constant", "noise-recovery", _merged(_MIXTURE, train=_MLP1), []),
+        ("noise-wide-mlp1", "noise-recovery", _merged(_WIDE, train={"architecture": "mlp1"}), []),
         ("noise-asymmetric-pairs", "noise-recovery", _merged(_MIXTURE, noise={"topology": "asymmetric_pairs", "eta": 0.45, "pairs": [[9, 1], [2, 0], [3, 5], [4, 7]]}), []),
         ("noise-cyclic-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 5}), []),
         ("noise-block-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 5}), []),
