@@ -22,10 +22,18 @@ and its gradient, weights and bias together, one more.  Prediction adds
 each bias after its product instead, so an evaluation does not depend on
 how a run was trained; the layers of the model a run returns are the rows
 of its blocks.
+
+From 256 classes on, :func:`train` and :func:`evaluate` run under a numpy
+ufunc buffer below two rows of logits, so that each (B, C) operation with
+one value per row (a shift by the row max, a division by the row sum)
+runs one row per inner loop, which is faster at wide C.  Every operation
+this touches is elementwise, and numpy reduces a row in the same order
+at any buffer size, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -215,6 +223,40 @@ def _blocks(flat: np.ndarray, model: ModelParams) -> list[np.ndarray]:
     return [chunk.reshape(-1, w.shape[1]) for chunk, w in zip(chunks, model.weights)]
 
 
+# classes per row from which a broadcast of one value per row runs faster
+# one row per inner loop; a CE step of 128 classes runs slower that way
+_ROW_BUFFER_CLASSES = 256
+_DEFAULT_BUFFER = contextlib.nullcontext()
+
+
+def _row_buffer(C: int):
+    """A context that, at ``C >= _ROW_BUFFER_CLASSES``, sets numpy's ufunc
+    buffer to the largest legal size below two rows of C and restores the
+    old size at exit; below that, or when the buffer already holds under
+    two rows, a shared no-op context, so a narrow run allocates nothing.
+
+    Under its default buffer numpy runs a (B, C) operation with a (B, 1)
+    operand, such as a row's shift by its max, over several rows at a time
+    and copies the column into a buffer; below two rows each row is one
+    inner loop, which costs less once C reaches a few hundred.  numpy 2
+    restores the size with its ``errstate`` and numpy 1 does not, so the
+    restore is explicit.
+    """
+    size = 16 * ((2 * C - 1) // 16)
+    if C < _ROW_BUFFER_CLASSES or size >= np.getbufsize():
+        return _DEFAULT_BUFFER
+    return _buffer_size(size)
+
+
+@contextlib.contextmanager
+def _buffer_size(size: int):
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     if cfg.lr_schedule == "cosine":
         return cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
@@ -241,7 +283,10 @@ def train(
     non-finite evaluation logits.  The returned model's layers are
     consecutive blocks of one flat array, each (fan_in + 1, fan_out) with
     the weights in its first rows and the bias in its last, and its
-    ``weights`` and ``biases`` are views of those rows.
+    ``weights`` and ``biases`` are views of those rows.  From 256 classes
+    on, training runs under a ufunc buffer below two rows, which changes
+    no bit (see the module docstring); numpy's buffer size is restored on
+    return and on every error.
     """
     X = data.features
     y = data.training_labels()
@@ -273,7 +318,7 @@ def train(
 
     curve: list[float] = []
     # divergence is reported below, or by the weight check after the loop
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _row_buffer(C):
         for epoch in range(cfg.epochs):
             lr = _epoch_lr(cfg, epoch)
             order = rng.permutation(n)
@@ -337,7 +382,9 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     is taken once over all rows, so the report equals that of one pass
     over the whole set bit for bit whenever the matrix product gives each
     block the rows it gives the whole set (BLAS may round a product of a
-    few rows differently; equal blocks keep them large).
+    few rows differently; equal blocks keep them large).  From 256 classes
+    on, the blocks are scored under a ufunc buffer below two rows, as in
+    :func:`train`, with the same bits.
     """
     X = data.features
     labels = data.clean_labels
@@ -349,7 +396,7 @@ def evaluate(model: ModelParams, data, q: np.ndarray | None = None) -> Experimen
     masses = None if q is None else np.empty((3, n))
     # finite weights may overflow the logits, which raises below, and finite
     # logits the softmax's shift, to -inf, whose exp is 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _row_buffer(C):
         for lo in range(0, n, height):
             block = slice(lo, lo + height)
             logits = predict_logits(model, X[block])

@@ -11,14 +11,18 @@ and take their row maxima class-major on narrow rows, which must give
 the bits of the row-wise maxima.  The dual-margin gradient of a wide
 batch is taken in row blocks, which must give the bits of one pass, and
 within a bounded peak of memory; when every row has an empty P or N, on a
-single-cell path that must give the kernel's bits.  A batch mean of
-either loss whose sum overflows must stay finite.
+single-cell path that must give the kernel's bits.  One property checks
+every path against one pass of the kernel over drawn shapes, Qs, scales,
+layouts, block counts and ufunc buffer sizes.  A batch mean of either loss
+whose sum overflows must stay finite.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmargin import (
     LossParams,
@@ -29,6 +33,7 @@ from dualmargin import (
     loss,
     q_from_transition,
     q_mil,
+    q_ordinal,
     sets_from_q,
     training,
 )
@@ -262,6 +267,75 @@ class TestSingleCellGradient:
         calls = self.spying(monkeypatch)
         batch_loss_and_grad(np.random.default_rng(0).normal(size=(98, C)), targets, q, LossParams(0.3, 5.0))
         assert calls == [49, 49]
+
+
+def drawn_q(kind, C, rng):
+    """A (C, C) Q of ``kind``: a band, column noise at an eta, block
+    superclass noise, the MIL Q (C = 2) or a random density."""
+    if kind == "band":
+        return q_ordinal(C, rng.integers(0, C))
+    if kind.startswith("column"):
+        return column_q(C, float(kind.split("-")[1]))
+    if kind == "block":
+        group = rng.choice([g for g in range(2, C + 1) if C % g == 0])
+        return q_from_transition(build_transition(NoiseSpec(topology="block_superclass", eta=0.6, group_size=int(group)), C))
+    if kind == "mil":
+        return q_mil()
+    return rng.random((C, C)) < rng.choice([0.0, 0.2, 0.5, 1.0])
+
+
+class TestDifferentialOracle:
+    """Every path of ``batch_loss_and_grad`` (one kernel pass, row blocks, the
+    single-cell gradient), on any layout and under a ufunc buffer of the
+    default size or below two rows, gives the bits of one kernel pass over
+    the C-ordered batch, its gradient divided by B and its mean by ``_mean``."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["band", "column-0.1", "column-0.6", "column-1.0", "block", "mil", "random"]),
+        C=st.integers(2, 64),
+        B=st.integers(1, 300),
+        blocks=st.integers(1, 7),
+        exponent=st.floats(-3.0, 300.0),
+        layout=st.sampled_from(["c", "fortran", "column-strided", "row-strided"]),
+        weights=st.sampled_from([(0.3, 5.0), (0.0, 1.0), (1.0, 0.0), (0.1, 10.0)]),
+        no_sinks=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_path_gives_the_bits_of_one_kernel_pass(self, kind, C, B, blocks, exponent, layout, weights, no_sinks, seed):
+        C = 2 if kind == "mil" else C
+        rng = np.random.default_rng(seed)
+        q = drawn_q(kind, C, rng)
+        Z = rng.normal(scale=10.0**exponent, size=(B, C))
+        Z[:, 0] = 0.0
+        targets = rng.integers(0, C, size=B)
+        if kind.startswith("column") and no_sinks and C > 2:
+            # every row's set is its target alone; a sink's holds at least C - 1 classes
+            sinks = default_column_sinks(C)
+            targets[np.isin(targets, sinks)] = min({0, 1, 2} - set(sinks))
+        params = LossParams(*weights)
+        at_t, masks = loss._gather_sets(q, targets)
+        losses, grads, _ = loss._kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
+        want_loss, want_grad = np.float64(loss._mean(losses)).tobytes(), (grads / B).tobytes()
+
+        # at most B blocks, so B * C * 8 // block_bytes is exactly their count
+        block_bytes = B * C * 8 // min(blocks, B)
+        sizes = np.count_nonzero(masks, axis=1)
+        single_cell = min(blocks, B) >= 2 and bool(np.all((sizes == 1) | (sizes == C)))
+        logits = Z if layout == "c" else layouts(Z)[layout]
+        # the largest size below two rows that numpy 1 accepts (a multiple of 16)
+        for bufsize in [np.getbufsize(), max(16, 16 * ((2 * C - 1) // 16))]:
+            with mock.patch.object(loss, "_GRAD_BLOCK_BYTES", block_bytes), mock.patch.object(
+                loss, "_single_cell_exps", wraps=loss._single_cell_exps
+            ) as spy, np.errstate():
+                old = np.setbufsize(bufsize)
+                try:
+                    got_loss, got_grad = batch_loss_and_grad(logits, targets, q, params)
+                finally:
+                    np.setbufsize(old)
+            assert spy.call_count == single_cell, bufsize
+            assert np.float64(got_loss).tobytes() == want_loss, bufsize
+            assert got_grad.tobytes() == want_grad, bufsize
 
 
 class TestFiniteBatchMean:

@@ -1,5 +1,7 @@
 """Tests for the trainer: determinism, CE equivalence, backprop, metrics."""
 
+import contextlib
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -18,10 +20,11 @@ from dualmargin import (
     make_mil_bags,
     make_ring,
     q_mil,
+    q_ordinal,
     train,
     train_mil_instances,
 )
-from dualmargin import training
+from dualmargin import NoiseSpec, build_transition, loss, q_from_transition, training
 from dualmargin.loss import batch_loss, sets_from_q
 from dualmargin.training import _backward, _blocks, _forward, init_model, predict_logits
 from helpers import counts_from_dense, dense_counts, per_layer_sgd
@@ -281,6 +284,121 @@ class TestQLayout:
         assert report_c.mean_mass == report_f.mean_mass
         # the loss gathers Q's columns, so train hands it Q in Fortran order
         assert all(seen) and len(seen) == (0 if loss == "cross_entropy" else 2 * 3 * 13)
+
+
+def wide_run(kind):
+    """Training and test data, Q and the config of a 2-epoch run of ``kind``
+    above the class count from which ``train`` shrinks numpy's ufunc buffer:
+    "ce" and "band" (a dual-margin run on a band Q, one-pass kernel) at C =
+    300, "column" (dual-margin under column noise, whose full batches of 1 MB
+    take the single-cell gradient) at C = 1000.  Each run ends in a short batch."""
+    C, per_class = (1000, 1) if kind == "column" else (300, 2)
+    data = make_gaussian_mixture(C, dim=8, n_per_class=per_class, class_separation=8.0, seed=0)
+    test = make_gaussian_mixture(C, dim=8, n_per_class=1, class_separation=8.0, seed=1, means_seed=0)
+    if kind == "column":
+        q = q_from_transition(build_transition(NoiseSpec(topology="column", eta=0.6), C))
+    else:
+        q = q_ordinal(C, 2)
+    params = None if kind == "ce" else LossParams(0.1, 10.0)
+    return data, test, q, TrainConfig(learning_rate=0.5, epochs=2, batch_size=128, seed=0, loss_params=params)
+
+
+class TestUfuncBuffer:
+    """From ``_ROW_BUFFER_CLASSES`` classes on, ``train`` and ``evaluate`` run
+    under a ufunc buffer below two rows, which must keep every bit and leave
+    numpy's buffer size and error state as they were."""
+
+    @pytest.mark.parametrize("kind", ["ce", "column", "band"])
+    def test_wide_runs_have_the_bits_of_the_default_buffer(self, monkeypatch, kind):
+        data, test, q, cfg = wide_run(kind)
+        C = data.class_count
+        default = np.getbufsize()
+        seen = {"step": [], "softmax": [], "single_cell": []}
+
+        def recording(module, name, key):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                seen[key].append(np.getbufsize())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        recording(training, "_ce_loss_and_grad" if kind == "ce" else "batch_loss_and_grad", "step")
+        recording(training, "softmax", "softmax")
+        recording(loss, "_single_cell_exps", "single_cell")
+        runs = [train(data, q, cfg, test_data=test)]
+        small = 16 * ((2 * C - 1) // 16)
+        # 2 epochs of 5 or 8 batches, and evaluation blocks of 1 MB
+        steps = 2 * -(-data.features.shape[0] // 128)
+        blocks = -(-test.features.shape[0] * C * 8 // training._EVAL_BLOCK_BYTES)
+        assert seen["step"] == [small] * steps and seen["softmax"] == [small] * blocks
+        assert seen["single_cell"] == ([small] * (steps - 2) if kind == "column" else [])
+        for values in seen.values():
+            values.clear()
+        monkeypatch.setattr(training, "_row_buffer", lambda C: contextlib.nullcontext())
+        runs.append(train(data, q, cfg, test_data=test))
+        assert seen["step"] == [default] * steps and seen["softmax"] == [default] * blocks
+        (model, report), (want_model, want) = runs
+        for got_layer, want_layer in zip(model.weights + model.biases, want_model.weights + want_model.biases):
+            assert got_layer.tobytes() == want_layer.tobytes()
+        assert report.train_curve == want.train_curve
+        assert report.mean_mass == want.mean_mass
+        assert report.clean_test_accuracy == want.clean_test_accuracy
+        assert report.confusion_matrix.cells.tobytes() == want.confusion_matrix.cells.tobytes()
+        assert report.confusion_matrix.counts.tobytes() == want.confusion_matrix.counts.tobytes()
+
+    @pytest.mark.parametrize("loss_params", [None, LossParams(0.1, 10.0)])
+    def test_narrow_runs_never_set_the_buffer(self, monkeypatch, loss_params):
+        data, test = (
+            make_gaussian_mixture(10, dim=8, n_per_class=20, class_separation=8.0, seed=seed, means_seed=0)
+            for seed in (0, 1)
+        )
+        q = q_from_transition(build_transition(NoiseSpec(topology="column", eta=0.6), 10))
+        calls = []
+        real = np.setbufsize
+
+        def spy(size):
+            calls.append(size)
+            return real(size)
+
+        monkeypatch.setattr(np, "setbufsize", spy)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=64, seed=0, loss_params=loss_params)
+        model, _ = train(data, q, cfg, test_data=test)
+        evaluate(model, test, q=q)
+        assert calls == []
+
+    @pytest.mark.parametrize("C,size", [(255, None), (256, 496), (300, 592), (1000, 1984), (4096, 8176), (4097, None)])
+    def test_the_buffer_holds_under_two_rows_from_the_gate_on(self, C, size):
+        # at 4097 classes the default buffer is already under two rows
+        before = np.getbufsize()
+        with training._row_buffer(C):
+            assert np.getbufsize() == (before if size is None else size)
+        assert np.getbufsize() == before
+
+    def test_numpy_state_is_restored_after_a_run_and_after_each_failure(self):
+        data, test, q, cfg = wide_run("ce")
+        huge = ModelParams(weights=[np.full((8, 300), 1e308)], biases=[np.zeros(300)])
+        calls = {
+            "train": lambda: train(data, q, cfg, test_data=test),
+            "train diverges": lambda: train(data, q, dataclasses.replace(cfg, learning_rate=1e308)),
+            "evaluate raises": lambda: evaluate(huge, test, q=q),
+        }
+        # a size and an error state other than the defaults and train's; numpy 1
+        # keeps the size outside errstate
+        old = np.setbufsize(16384)
+        try:
+            with np.errstate(divide="ignore", over="raise", under="ignore", invalid="raise"):
+                before = (np.getbufsize(), np.geterr())
+                for name, call in calls.items():
+                    if name == "train":
+                        call()
+                    else:
+                        with pytest.raises(TrainingDivergedError):
+                            call()
+                    assert (np.getbufsize(), np.geterr()) == before, name
+        finally:
+            np.setbufsize(old)
 
 
 class TestEvaluate:

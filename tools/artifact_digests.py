@@ -23,7 +23,11 @@ at its default and at a tiny config, the benchmark's workloads, both
 architectures and schedules, a tiny toy2d under ``mlp1`` at momentum 0
 with a cosine schedule (240 samples in batches of 128, so the last batch
 is shorter), every noise topology at C = 10 and at
-C = 1000 (block superclass noise there with groups of 8 and of 100), an
+C = 1000 (block superclass noise there with groups of 8 and of 100),
+block superclass noise at C = 300, just above the class count from which
+``train`` and ``evaluate`` shrink numpy's ufunc buffer (the cross-entropy
+step, the one-pass kernel, a short last batch and the evaluation all run
+under the small buffer there), an
 ``mlp1`` noise-recovery at C = 1000 (its output layer's input and bias row
 make a (128, 65) x (65, 1000) product, and its artifacts differ between
 one OpenBLAS thread and several, so two listings compare only at one
@@ -39,7 +43,7 @@ dimension 64 (means in Fortran order), a mixture at ``class_separation``
 ``positive_instance_rate`` 0.01 (positive bags whose one positive
 instance is forced) and 1.0 (no negative instance in a positive bag, so
 that recall is ``null``), the CLI's seed and weight flags, and diverging
-runs whose ``failures`` text is an artifact: 119 files in all.  A whole
+runs whose ``failures`` text is an artifact: 122 files in all.  A whole
 run takes about a minute on a 2-core host, most of it the default sweep.
 """
 
@@ -114,6 +118,7 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-wide-cyclic-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 10}), []),
         ("noise-wide-block-superclass", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 8}), []),
         ("noise-wide-block-superclass-100", "noise-recovery", _merged(_WIDE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 100}), []),
+        ("noise-300-block-superclass", "noise-recovery", _merged(_WIDE, dataset={"class_count": 300}, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 10}), []),
         ("noise-wide-3000", "noise-recovery", _merged(_WIDE, dataset={"class_count": 3000, "n_per_class": 1, "n_test_per_class": 1}), []),
         ("noise-wide-mixed", "noise-recovery", _NOISE_WIDE_MIXED, []),
         ("sweep-diverging", "sweep", _merged(_DIVERGING, sweep={"alpha_values": [0.0, 0.1], "beta_values": [0.0, 1.0]}), []),
