@@ -36,18 +36,24 @@ scores follow from the two cell log-sum-exps,
 and the pool itself is ``m + log1p(expm1(-m) + e^(a-m) + e^(b-m))`` with
 ``m = max(0, a, b)``, which is ``log1p(e^a + e^b)`` when ``m = 0`` and so
 keeps full relative accuracy for losses far below machine epsilon.  The
-analytic gradient (:func:`batch_loss_and_grad`) reuses the same exponential
-array, scaled by one coefficient per row and cell; each coefficient is the
-exp of a quantity that is <= 0 in exact arithmetic and clamped at 0, since
-rounding at logits past about 1e19 can leave it far above 0.  A batch of
-1 MB or more of logits is taken in equal row blocks of 0.5 to 1 MB, whose
-arrays stay in cache; every reduction is per row, so blocks keep the bits.
-When every row of such a batch has an empty P or an empty N, as under
-column noise and the MIL Q, whose labels each have their own class or all C
-as their set, the gradient takes one max, one shift, one ``exp``, one sum
-and one coefficient per row where the kernel takes two of each.  The pooled
-tail (:func:`_pool`) sees the empty cell as the kernel does, with max -inf
-and sum 0, so every value keeps the kernel's bits.
+kernel's analytic gradient (:func:`batch_loss_and_grad`) reuses the same
+exponential array, scaled by one coefficient per row and cell; each
+coefficient is the exp of a quantity that is <= 0 in exact arithmetic and
+clamped at 0, since rounding at logits past about 1e19 can leave it far
+above 0, so the kernel's gradient loses accuracy as the logits grow.
+
+When every row of a batch has an empty P or an empty N, as under column
+noise and the MIL Q, whose labels each have their own class or all C as
+their set, one margin's partition is the other's, and the loss is
+``log(1 + w (1 - p_t) / p_t)`` with ``w = alpha + beta`` where S = {t} and
+``w = alpha`` where S = C: cross-entropy with one weight per row.
+:func:`batch_loss_and_grad` then takes that weighted cross-entropy step
+(:func:`_weighted_ce`) in place of the kernel: one max, one ``exp`` and
+one sum per row, every exponent <= 0 without a clamp, and a gradient
+accurate at every logit scale.  Its values agree with the kernel's within
+a few ulps at moderate logits, not bit for bit.  A batch of 1 MB or more of
+logits is taken in equal row blocks of 0.5 to 1 MB, whose arrays stay in
+cache; every reduction is per row, so blocks keep the bits on either path.
 
 Conventions for empty/disabled terms: a zero weight or an empty index set
 makes the corresponding pooled term -inf, i.e. it simply drops out of the
@@ -220,10 +226,10 @@ def _kernel(Z: np.ndarray, set_masks: np.ndarray, at_t: np.ndarray, alpha: float
 
 
 def _pool(z_t, max_p, sum_p, max_n, sum_n, alpha: float, beta: float, want_grad: bool):
-    """Per-sample losses and pooled terms from each row's target logit and its
-    two cells' maxima and exp sums (an empty cell has max -inf and sum 0), and,
-    if ``want_grad``, the coefficients of P's and N's exps and the target's
-    gradient entry, each before the division by B; else None.
+    """The kernel's per-sample losses and pooled terms from each row's target
+    logit and its two cells' maxima and exp sums (an empty cell has max -inf
+    and sum 0), and, if ``want_grad``, the coefficients of P's and N's exps
+    and the target's gradient entry, each before the division by B; else None.
     """
     log_alpha = _log_or_neg_inf(alpha)
     log_beta = _log_or_neg_inf(beta)
@@ -339,7 +345,11 @@ def _mean(losses: np.ndarray) -> float:
 
 
 def batch_loss(Z, targets, q, params: LossParams) -> float:
-    """Mean loss of a nonempty batch whose per-sample sets are read from the columns of Q."""
+    """Mean loss of a nonempty batch whose per-sample sets are read from the columns of Q.
+
+    Every batch takes the kernel, so where :func:`batch_loss_and_grad`
+    takes the weighted cross-entropy step the two agree within a few ulps.
+    """
     Z, at_t, masks = _validate_batch(Z, targets, q)
     losses, _, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=False)
     return _mean(losses)
@@ -352,36 +362,32 @@ _GRAD_BLOCK_BYTES = 500_000
 def batch_loss_and_grad(Z, targets, q, params: LossParams) -> tuple[float, np.ndarray]:
     """Mean loss of a nonempty batch plus its (B, C) gradient w.r.t. Z: row b is sample b's gradient over B.
 
-    A batch of ``2 * _GRAD_BLOCK_BYTES`` or more of logits is taken in equal
-    row blocks, each building its gradient in its rows of the result; if it
-    has two or more classes and each row an empty P or N, with one max, exp
-    sum and coefficient per row (:func:`_single_cell_exps`) and the kernel's
-    bits.  The mean is finite whenever every loss is.
+    A batch of two or more classes whose every row has an empty P or N takes
+    a weighted cross-entropy step (:func:`_weighted_ce`) in place of the
+    kernel; its losses agree with :func:`batch_loss`'s within a few ulps,
+    not bit for bit.  A batch of ``2 * _GRAD_BLOCK_BYTES`` or more of logits
+    is taken in equal row blocks, each building its gradient in its rows of
+    the result.  The mean is finite whenever every loss is.
     """
     Z, at_t, masks = _validate_batch(Z, targets, q)
     B, C = Z.shape
+    full = _full_rows(masks)
     blocks = B * C * 8 // _GRAD_BLOCK_BYTES
-    if blocks < 2:
+    if full is None and blocks < 2:
         losses, grads, _ = _kernel(Z, masks, at_t, params.alpha, params.beta, want_grad=True)
         grads /= B
         return _mean(losses), grads
-    height = -(-B // blocks)
+    height = -(-B // max(blocks, 1))
     row_blocks = [slice(lo, lo + height) for lo in range(0, B, height)]
     grads = np.empty((B, C))
-    full = _full_rows(masks)
-    if full is None:
-        losses = np.empty(B)
-    else:
-        losses, coef, at_target = _single_cell_exps(Z, full, at_t, params, grads, row_blocks)
+    if full is not None:
+        return _mean(_weighted_ce(Z, full, at_t, params, grads, row_blocks)), grads
+    losses = np.empty(B)
     # x * (1 / B) rounds the same real number as x / B when B is a power of two, and is cheaper
     scale, by = (np.multiply, 1.0 / B) if B & (B - 1) == 0 else (np.divide, B)
     for rows in row_blocks:
         block, at = grads[rows], at_t[rows] - rows.start * C
-        if full is None:
-            losses[rows], _, _ = _kernel(Z[rows], masks[rows], at, params.alpha, params.beta, True, block)
-        else:
-            block *= coef[rows, None]
-            block.put(at, at_target[rows])
+        losses[rows], _, _ = _kernel(Z[rows], masks[rows], at, params.alpha, params.beta, True, block)
         scale(block, by, out=block)
     return _mean(losses), grads
 
@@ -400,35 +406,49 @@ def _full_rows(masks: np.ndarray) -> np.ndarray | None:
     extra = np.count_nonzero(masks) - B
     if extra % (C - 1):
         return None
-    full = masks.all(axis=1)
+    # class-major up to 16 columns, as _row_max
+    full = np.ascontiguousarray(masks.T).all(axis=0) if C <= 16 else masks.all(axis=1)
     return full if extra == (C - 1) * np.count_nonzero(full) else None
 
 
-def _single_cell_exps(Z, full, at_t, params: LossParams, grads, row_blocks):
-    """Per-sample losses, gradient coefficients and target entries of a batch
-    whose rows have one non-target cell each, P on ``full`` rows and N on the
-    others, with each block's shifted exps made in its rows of ``grads``.
+def _weighted_ce(Z, full, at_t, params: LossParams, grads, row_blocks) -> np.ndarray:
+    """Per-sample losses of a batch whose rows have one non-target cell each,
+    P on ``full`` rows and N on the others, with each block's gradient over B
+    made in its rows of ``grads``.
 
-    The values are :func:`_kernel`'s: its max of the one cell is over the
-    same entries, and its 0/1 mask differs from ``ones`` only at the target,
-    where the exp is 0.  einsum sums a row against the 1-D ``ones`` with the
-    loop it takes for a row of the kernel's 2-D mask, both operands
-    contiguous; a broadcast (stride-0) ``ones`` or ``e.sum(axis=1)`` would
-    sum in another order.
+    With one cell empty the loss is log(1 + w (1 - p_t) / p_t), w = alpha on
+    ``full`` rows and alpha + beta on the others: cross-entropy with one
+    weight per row.  With M the max and S the sum of exp(z - M) over the
+    non-target classes, x = log w + M - z_t + log S is the weighted log-odds
+    against the target; the loss is softplus(x), and with s = sigmoid(x)
+    the gradient is s exp(z - M) / S off the target and -s at it.  Every
+    exponent is <= 0, s is 0 at x = -inf and 1 at x = +inf, and a row of
+    w = 0 has x = -inf, so no finite logit gives a NaN.
     """
     B, C = Z.shape
     cell_max, cell_sum = np.empty(B), np.empty(B)
-    ones = np.ones(C)
     for rows in row_blocks:
-        e, z, at = grads[rows], Z[rows], at_t[rows] - rows.start * C
-        np.copyto(e, z)
-        e.put(at, -np.inf)
+        e = grads[rows]
+        np.copyto(e, Z[rows])
+        e.put(at_t[rows] - rows.start * C, -np.inf)
         cell_max[rows] = _row_max(e)
         # the targets stay -inf
         e -= cell_max[rows, None]
         np.exp(e, out=e)
-        cell_sum[rows] = np.einsum("ij,j->i", e, ones)
-    max_p, max_n = np.where(full, cell_max, -np.inf), np.where(full, -np.inf, cell_max)
-    sum_p, sum_n = np.where(full, cell_sum, 0.0), np.where(full, 0.0, cell_sum)
-    losses, _, (coef_p, coef_n, at_target) = _pool(Z.take(at_t), max_p, sum_p, max_n, sum_n, params.alpha, params.beta, True)
-    return losses, np.where(full, coef_p, coef_n), at_target
+        cell_sum[rows] = e.sum(axis=1)
+    log_w = np.where(full, _log_or_neg_inf(params.alpha), _log_or_neg_inf(params.alpha + params.beta))
+    x = np.subtract(cell_max, Z.take(at_t))
+    if params.alpha == 0.0:
+        # where w = 0, M - z_t may have overflowed to +inf
+        x[log_w == -np.inf] = -np.inf
+    x += np.log(cell_sum)
+    x += log_w
+    losses = np.logaddexp(0.0, x)
+    # the target's entry -s / B, from -s = e^-loss - 1: -1 at x = +inf, 0 at x = -inf
+    at_target = np.expm1(-losses) / B
+    coef = at_target / -cell_sum
+    for rows in row_blocks:
+        block = grads[rows]
+        block *= coef[rows, None]
+        block.put(at_t[rows] - rows.start * C, at_target[rows])
+    return losses

@@ -109,6 +109,26 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train(data, None, cfg)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_logits_at_the_float_range_give_an_infinite_loss_not_nan(self, alpha):
+        # features the seed's initial weights map to logits (1e308, -1e308); a
+        # positive label's set is both classes, so its loss is
+        # log(1 + alpha e^(z_0 - z_1)): inf, or 0 with a zero gradient at alpha 0
+        W = init_model([2, 2], np.random.default_rng(4)).weights[0]
+        x = np.linalg.solve(W.T, [1e308, -1e308])
+        assert np.array_equal(x @ W, [1e308, -1e308])
+        data = LabeledDataset(features=np.tile(x, (8, 1)), clean_labels=np.ones(8, dtype=int), class_count=2)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=4, seed=4, loss_params=LossParams(alpha, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if alpha:
+                with pytest.raises(TrainingDivergedError, match=r"^non-finite loss inf at epoch 0, batch offset 0 \(lr=0.1, loss=dual_margin\)$"):
+                    train(data, q_mil(), cfg)
+            else:
+                model, report = train(data, q_mil(), cfg)
+                assert report.train_curve == [0.0, 0.0]
+                assert model.weights[0].tobytes() == W.tobytes()
+
     def test_divergence_on_the_last_step_raises(self):
         # one step whose update overflows the weights; no later step sees it
         data = make_gaussian_mixture(4, dim=3, n_per_class=10, class_separation=4.0, seed=0)
@@ -290,8 +310,8 @@ def wide_run(kind):
     """Training and test data, Q and the config of a 2-epoch run of ``kind``
     above the class count from which ``train`` shrinks numpy's ufunc buffer:
     "ce" and "band" (a dual-margin run on a band Q, one-pass kernel) at C =
-    300, "column" (dual-margin under column noise, whose full batches of 1 MB
-    take the single-cell gradient) at C = 1000.  Each run ends in a short batch."""
+    300, "column" (dual-margin under column noise, whose batches take the
+    weighted cross-entropy step) at C = 1000.  Each run ends in a short batch."""
     C, per_class = (1000, 1) if kind == "column" else (300, 2)
     data = make_gaussian_mixture(C, dim=8, n_per_class=per_class, class_separation=8.0, seed=0)
     test = make_gaussian_mixture(C, dim=8, n_per_class=1, class_separation=8.0, seed=1, means_seed=0)
@@ -326,14 +346,14 @@ class TestUfuncBuffer:
 
         recording(training, "_ce_loss_and_grad" if kind == "ce" else "batch_loss_and_grad", "step")
         recording(training, "softmax", "softmax")
-        recording(loss, "_single_cell_exps", "single_cell")
+        recording(loss, "_weighted_ce", "single_cell")
         runs = [train(data, q, cfg, test_data=test)]
         small = 16 * ((2 * C - 1) // 16)
         # 2 epochs of 5 or 8 batches, and evaluation blocks of 1 MB
         steps = 2 * -(-data.features.shape[0] // 128)
         blocks = -(-test.features.shape[0] * C * 8 // training._EVAL_BLOCK_BYTES)
         assert seen["step"] == [small] * steps and seen["softmax"] == [small] * blocks
-        assert seen["single_cell"] == ([small] * (steps - 2) if kind == "column" else [])
+        assert seen["single_cell"] == ([small] * steps if kind == "column" else [])
         for values in seen.values():
             values.clear()
         monkeypatch.setattr(training, "_row_buffer", lambda C: contextlib.nullcontext())

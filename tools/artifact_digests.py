@@ -35,15 +35,17 @@ thread count), a
 sweep at C = 1000, column noise at C = 3000 (every training batch spans
 several of ``batch_loss_and_grad``'s row blocks, and the last batch is
 shorter), column noise at C = 4000 and eta 0.1 in batches of 32 (1 MB of
-logits each: the 6 batches with no sink label take the single-cell
-gradient, the 119 with one take the kernel), mixtures whose class count
+logits each: the 6 batches with no sink label take the weighted
+cross-entropy step, the 119 with one take the kernel), column noise at
+C = 10 and eta 0.1 (a sink label's set holds C - 1 classes, so every
+batch with one takes the kernel), mixtures whose class count
 equals their dimension (every distance between class means ties) and of
 dimension 64 (means in Fortran order), a mixture at ``class_separation``
 0 (every class mean at the origin), MIL bags at
 ``positive_instance_rate`` 0.01 (positive bags whose one positive
 instance is forced) and 1.0 (no negative instance in a positive bag, so
 that recall is ``null``), the CLI's seed and weight flags, and diverging
-runs whose ``failures`` text is an artifact: 122 files in all.  A whole
+runs whose ``failures`` text is an artifact: 125 files in all.  A whole
 run takes about a minute on a 2-core host, most of it the default sweep.
 """
 
@@ -107,6 +109,7 @@ def configs() -> list[tuple[str, str, dict, list[str]]]:
         ("noise-cyclic-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "cyclic_superclass", "eta": 0.45, "group_size": 5}), []),
         ("noise-block-superclass", "noise-recovery", _merged(_MIXTURE, noise={"topology": "block_superclass", "eta": 0.6, "group_size": 5}), []),
         ("noise-column-sinks", "noise-recovery", _merged(_MIXTURE, noise={"sinks": [3, 5]}), []),
+        ("noise-column-eta-0.1", "noise-recovery", _merged(_MIXTURE, noise={"eta": 0.1}), []),
         ("noise-class-count-equals-dim", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 16, "dim": 16}), []),
         ("noise-dim-64", "noise-recovery", _merged(_MIXTURE, dataset={"class_count": 10, "dim": 64}), []),
         ("noise-class-separation-0", "noise-recovery", _merged(_MIXTURE, dataset={"class_separation": 0.0}), []),
